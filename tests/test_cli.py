@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-import rigidity.cli as cli
+import rigidity.families as families
 from rigidity.cli import main
 from rigidity.derivation import NilpotencyReport
 
@@ -222,13 +222,15 @@ def test_corrupt_witness_reverification_exits_2(monkeypatch, capsys):
             detail="forced for the exit-code test",
         )
 
-    monkeypatch.setattr(cli, "probe_nilpotency", refuse)
+    # The catalog certifies each witness once, in families; a refused
+    # certification must surface as an internal-invariant error.
+    monkeypatch.setattr(families, "probe_nilpotency", refuse)
     code = main(["classify", "--relation", "X + Y^2 + Z^3", "--json", "--deterministic"])
     captured = capsys.readouterr()
     assert code == 2
     payload = json.loads(captured.out)
     assert payload["error"]["type"] == "internal_invariant"
-    assert "re-verification" in payload["error"]["message"]
+    assert "failed nilpotency certification" in payload["error"]["message"]
 
 
 # ---------------------------------------------------------------------------

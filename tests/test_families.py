@@ -534,17 +534,46 @@ def test_classify_rejects_alien_kind():
 
 
 def test_round_trip_recognition_preserves_verdicts():
-    """Constructed descriptors and re-recognized relations agree."""
+    """Constructed descriptors and re-recognized relations agree.
+
+    The cases cover permuted ambient variable orders, non-unit Gaussian
+    coefficients and inputs that need slot swaps, so both entry points go
+    through the same canonicalization.  In fermat_3(5, 2, 2, ...) and
+    mixed_four(3, 2, 5, 1, ...) the witness certifies only if the swap
+    moves the coefficients with the slots.
+    """
     cases = [
         three_term_xy(2, 3, 5),
         three_term_xy(1, 2, 3),
+        three_term_xy(2, 3, 5, variables=("Z", "Y", "X"), coefficients=(gq(0, 2), 7)),
         fermat_3(2, 2, 5),
+        fermat_3(5, 2, 3),
+        fermat_3(5, 2, 2, coefficients=(gq(0, 1), gq(0, 1), 5)),
+        fermat_3(5, 2, 3, variables=("Z", "X", "Y"), coefficients=(gq(1, 1), 2, -3)),
         mixed_four(6, 3, 2, 4),
+        mixed_four(2, 5, 4, 3),
+        mixed_four(3, 2, 5, 1, coefficients=(gq(1, 1), 2, gq(0, 3))),
+        mixed_four(
+            2, 5, 4, 3, variables=("T", "Z", "Y", "X"), coefficients=(gq(2, 1), 3, gq(0, -1))
+        ),
         fermat_n((2, 3, 5, 7)),
+        fermat_n(
+            (3, 2, 5, 2),
+            variables=("T", "X", "Z", "Y"),
+            coefficients=(gq(1, 2), 1, -1, gq(0, 1)),
+        ),
         danielewski_like(3, (1, 1, 1)),
+        danielewski_like(
+            3, (2, gq(0, 1), 1), variables=("Y", "Z", "X"), head_coefficient=gq(3, -1)
+        ),
     ]
     for descriptor in cases:
         again = recognize_family(descriptor.relation)
         assert again.kind == descriptor.kind
         assert again.exponents == descriptor.exponents
+        assert again.roles == descriptor.roles
+        assert again.coefficients == descriptor.coefficients
+        assert again.tail == descriptor.tail
+        # the canonicalization notes come first, the recognizer's own after
+        assert again.notes[: len(descriptor.notes)] == descriptor.notes
         assert classify(again).status == classify(descriptor).status
