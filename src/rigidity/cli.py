@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import re
 import sys
 import time
 from typing import Optional, Sequence
@@ -51,6 +53,14 @@ class CliInputError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    commands: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # No flag starts with a minus and a digit, so such a word is a value,
+        # for example the weight list in ``--weights -1,0``.
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     # argparse exits with status 2 on usage errors; 2 is reserved here for
     # internal invariant violations, so route usage problems through our own
     # error type instead.
@@ -391,6 +401,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--param-var", default="S")
     p.set_defaults(handler=cmd_search)
 
+    parser.commands = tuple(sub.choices)
     return parser
 
 
@@ -402,17 +413,36 @@ def _parser() -> _ArgumentParser:
 
 def _emit(payload: dict, as_json: bool, stream) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=stream)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        body = payload.get("result", payload.get("error"))
-        print("\n".join(_human_lines(body)), file=stream)
+        text = "\n".join(_human_lines(payload.get("result", payload.get("error"))))
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader has gone (``| head``).  Point the stream at devnull so
+        # that the interpreter's last flush cannot fail again; the exit code
+        # still reports the command's outcome.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if "--json" not in argv:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "command": argv[0] if argv and argv[0] in parser.commands else None,
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+        }
+        _emit(payload, True, sys.stdout)
         return 1
     as_json = getattr(args, "json", False)
     deterministic = getattr(args, "deterministic", False)

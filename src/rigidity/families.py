@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .derivation import (
     DEFAULT_PROBE_BOUND,
@@ -30,7 +30,7 @@ from .derivation import (
     make_derivation,
     probe_nilpotency,
 )
-from .gauss import GaussianRational, ONE, ScalarLike
+from .gauss import GaussianRational, ScalarLike
 from .mason import OBSTRUCTED, check_fermat_sum, check_mini_mason
 from .poly import Polynomial
 from .quotient import RingPresentation
@@ -124,7 +124,6 @@ class FamilyDescriptor:
     coefficients: tuple[GaussianRational, ...]
     relation: Optional[Polynomial]
     tail: Optional[tuple[GaussianRational, ...]] = None
-    strict_tail: bool = True
     notes: tuple[str, ...] = ()
 
 
@@ -369,7 +368,6 @@ def _danielewski(
         coefficients=(head,),
         relation=relation,
         tail=tail,
-        strict_tail=tail is not None,
         notes=tuple(notes),
     )
 
@@ -884,7 +882,7 @@ def _classify_fermat_n(desc: FamilyDescriptor) -> Verdict:
 
 def _classify_danielewski(desc: FamilyDescriptor) -> Verdict:
     (d,) = desc.exponents
-    if not desc.strict_tail or desc.tail is None:
+    if desc.tail is None:
         return Verdict(
             status=UNKNOWN,
             citation=CITE_OPEN,

@@ -1,15 +1,17 @@
 """Exact arithmetic in Q(i): complex numbers a + b*i with rational a, b.
 
-Every coefficient in this package is a :class:`GaussianRational`.  The class
-is immutable, hashable, and normalised by construction (``Fraction`` keeps
-numerator/denominator in lowest terms with a positive denominator), so two
-equal scalars always compare and hash equal.
+Every coefficient in this package is a :class:`GaussianRational`.  A value
+``(re_num + im_num*i) / den`` is stored as one normalized int triple
+``(re_num, im_num, den)`` with ``den > 0`` and ``gcd(re_num, im_num, den) ==
+1``; zero is ``(0, 0, 1)``.  The triple is unique for each value, so two equal
+scalars always compare and hash equal.  The class is immutable: every
+operation computes on ints and builds a new normalized triple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -24,27 +26,59 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re_num", "im_num", "den")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
+        re, im = _as_fraction(re), _as_fraction(im)
+        # Over the lcm of two reduced denominators the triple is already
+        # normalized: a prime dividing den divides one denominator to its
+        # full power there, and that part's numerator is prime to it.
+        den = lcm(re.denominator, im.denominator)
+        _set_re(self, re.numerator * (den // re.denominator))
+        _set_im(self, im.numerator * (den // im.denominator))
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational instances are immutable")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    # -- parts ----------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     # -- predicates ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.re_num and not self.im_num
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self.im_num
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.re_num or self.im_num)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return (
+            self.re_num == other.re_num
+            and self.im_num == other.im_num
+            and self.den == other.den
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     # -- coercion -----------------------------------------------------
 
@@ -52,8 +86,10 @@ class GaussianRational:
     def coerce(value: ScalarLike) -> GaussianRational:
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(_as_fraction(value))
+        if isinstance(value, int):
+            return _make(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _make(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     # -- ring operations ----------------------------------------------
@@ -61,15 +97,29 @@ class GaussianRational:
     # polynomials) get a chance at the reflected operation.
 
     def __add__(self, other: ScalarLike) -> GaussianRational:
-        if not isinstance(other, (GaussianRational, int, Fraction)):
+        a, b, d = self.re_num, self.im_num, self.den
+        if isinstance(other, GaussianRational):
+            c, e, f = other.re_num, other.im_num, other.den
+        elif isinstance(other, int):
+            # gcd(a + n*d, b, d) == gcd(a, b, d) == 1: already normalized.
+            return _make(a + int(other) * d, b, d)
+        elif isinstance(other, Fraction):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
             return NotImplemented
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if d == f:
+            re, im = a + c, b + e
+        else:
+            re, im, d = a * f + c * d, b * f + e * d, d * f
+        g = gcd(re, im, d)
+        if g != 1:
+            return _make(re // g, im // g, d // g)
+        return _make(re, im, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re_num, -self.im_num, self.den)
 
     def __sub__(self, other: ScalarLike) -> GaussianRational:
         if not isinstance(other, (GaussianRational, int, Fraction)):
@@ -82,28 +132,48 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other: ScalarLike) -> GaussianRational:
-        if not isinstance(other, (GaussianRational, int, Fraction)):
+        a, b, d = self.re_num, self.im_num, self.den
+        if isinstance(other, GaussianRational):
+            c, e, f = other.re_num, other.im_num, other.den
+        elif isinstance(other, int):
+            # gcd(a, b) is prime to d, so gcd(n*a, n*b, d) == gcd(n, d);
+            # n == 0 gives gcd d and the triple (0, 0, 1).
+            n = int(other)
+            g = gcd(n, d)
+            if g != 1:
+                n //= g
+                d //= g
+            return _make(a * n, b * n, d)
+        elif isinstance(other, Fraction):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
             return NotImplemented
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        re, im, d = a * c - b * e, a * e + b * c, d * f
+        g = gcd(re, im, d)
+        if g != 1:
+            return _make(re // g, im // g, d // g)
+        return _make(re, im, d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re_num, -self.im_num, self.den)
 
     def norm(self) -> Fraction:
         """The field norm re^2 + im^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.re_num, self.im_num, self.den
+        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> GaussianRational:
-        if self.is_zero:
+        a, b, d = self.re_num, self.im_num, self.den
+        if not a and not b:
             raise ZeroDivisionError("division by zero in Q(i)")
-        n = self.norm()
-        return GaussianRational(self.re / n, -self.im / n)
+        # d / (a + b*i) = (a*d - b*d*i) / (a^2 + b^2)
+        re, im, n = a * d, -b * d, a * a + b * b
+        g = gcd(re, im, n)
+        if g != 1:
+            return _make(re // g, im // g, n // g)
+        return _make(re, im, n)
 
     def __truediv__(self, other: ScalarLike) -> GaussianRational:
         return self * GaussianRational.coerce(other).inverse()
@@ -123,18 +193,34 @@ class GaussianRational:
     def __str__(self) -> str:
         if self.is_real:
             return str(self.re)
-        if not self.re:
+        if not self.re_num:
             return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self.im_num > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}i)"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-I = GaussianRational(Fraction(0), Fraction(1))
+# The slot descriptors write past the immutability guard.
+_set_re = GaussianRational.re_num.__set__
+_set_im = GaussianRational.im_num.__set__
+_set_den = GaussianRational.den.__set__
+_new = object.__new__
+
+
+def _make(re_num: int, im_num: int, den: int) -> GaussianRational:
+    """A scalar from a triple that is already normalized; no checks."""
+    z = _new(GaussianRational)
+    _set_re(z, re_num)
+    _set_im(z, im_num)
+    _set_den(z, den)
+    return z
+
+
+ZERO = _make(0, 0, 1)
+ONE = _make(1, 0, 1)
+I = _make(0, 1, 1)
 
 
 def power_by_squaring(base, exponent: int, one):
@@ -153,4 +239,4 @@ def power_by_squaring(base, exponent: int, one):
 
 def gq(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
     """Shorthand constructor used throughout the tests."""
-    return GaussianRational(_as_fraction(re), _as_fraction(im))
+    return GaussianRational(re, im)

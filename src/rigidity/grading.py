@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 from .derivation import Derivation, make_derivation
 from .poly import MINUS_INF, NotDivisibleError, Polynomial, WeightVector

@@ -20,10 +20,9 @@ exact arithmetic before being reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .gauss import GaussianRational, ScalarLike
 from .mason import (

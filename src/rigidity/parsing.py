@@ -10,6 +10,9 @@ imaginary unit, exponents apply to variables only:
     coefficient := rational 'i'? | 'i'
     rational    := integer ('/' positive-integer)?
 
+Parentheses nest at most :data:`MAX_NESTING` deep; deeper input is a
+:class:`ParseError` at the first parenthesis past the limit.
+
 :func:`format_poly` emits a canonical form (graded-lex descending, fixed
 coefficient spelling) that parses back to the same polynomial, and distinct
 polynomials format to distinct strings.
@@ -23,6 +26,10 @@ from typing import Optional, Sequence
 
 from .gauss import GaussianRational
 from .poly import Polynomial
+
+#: Deepest parenthesis nesting the parser accepts.  The parser recurses a few
+#: frames per level, so this keeps it well under the interpreter's limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -96,6 +103,7 @@ class _Parser:
         self.pos = 0
         self.variables = variables
         self.max_exponent = max_exponent
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -138,12 +146,20 @@ class _Parser:
                 return Polynomial.constant(self.variables, GaussianRational(0, 1))
             return self.parse_variable()
         if token.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels",
+                    token.line,
+                    token.column,
+                )
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
             closing = self.peek()
             if closing.kind != ")":
                 raise self.fail("expected ')'", closing)
             self.advance()
+            self.depth -= 1
             return inner
         raise self.fail("expected a coefficient, variable or '('", token)
 

@@ -15,7 +15,7 @@ tie-break directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .gauss import ONE, ZERO, GaussianRational, ScalarLike, power_by_squaring
 

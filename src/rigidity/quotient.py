@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .gauss import GaussianRational, ScalarLike, power_by_squaring
 from .poly import Polynomial, monomial_divides

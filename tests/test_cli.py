@@ -5,6 +5,9 @@ in GOLDEN_CASES with --json --deterministic; the comparison is byte-for-byte.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -294,3 +297,72 @@ def test_human_errors_go_to_stderr(capsys):
     assert code == 1
     assert captured.out == ""
     assert "message:" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# usage errors, nesting depth and a closed stdout
+
+
+@pytest.mark.parametrize("depth,code", [(99, 0), (100, 0), (101, 1), (3000, 1)])
+def test_nesting_depth_limit_through_main(depth, code, capsys):
+    text = "(" * depth + "X" + ")" * depth + " + Y^2 + Z^3"
+    argv = ["classify", "--relation", text, "--vars", "X,Y,Z", "--json", "--deterministic"]
+    assert main(argv) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"] == "classify"
+    if code == 0:
+        flat = ["classify", "--relation", "X + Y^2 + Z^3", "--vars", "X,Y,Z", "--json"]
+        main(flat + ["--deterministic"])
+        assert payload == json.loads(capsys.readouterr().out)
+    else:
+        assert payload["error"]["type"] == "ParseError"
+        assert "nested deeper than 100" in payload["error"]["message"]
+        assert "(line 1, column 101)" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,command,needle",
+    [
+        (["gr", "--relation", "X^2 - Y", "--vars", "X,Y", "--json"], "gr", "--weights"),
+        (["gr", "--relation", "X", "--weights", "1", "--bogus", "--json"], "gr", "--bogus"),
+        (["frobnicate", "--json"], None, "frobnicate"),
+        (["--json"], None, "command"),
+    ],
+)
+def test_usage_errors_keep_the_json_contract(argv, command, needle, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert set(payload) == {"schema_version", "command", "error"}
+    assert payload["schema_version"] == "1"
+    assert payload["command"] == command
+    assert payload["error"]["type"] == "CliInputError"
+    assert needle in payload["error"]["message"]
+
+
+def test_negative_list_is_a_flag_value(capsys):
+    base = ["gr", "--relation", "X^2 - Y", "--vars", "X,Y", "--json", "--deterministic"]
+    assert main(base + ["--weights", "-1,0"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(base + ["--weights=-1,0"]) == 0
+    assert spaced == capsys.readouterr().out
+    assert json.loads(spaced)["result"]["weights"] == [-1, 0]
+
+
+def test_closed_stdout_exits_quietly():
+    # No process holds the read end, so the first write fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from rigidity.cli import main; sys.exit(main())",
+             "classify", "--relation", "X^2*Y + Z^2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

@@ -82,7 +82,7 @@ def test_recognize_danielewski():
     d = recognize_family(f)
     assert d.kind == "DanielewskiLike"
     assert d.exponents == (3,)
-    assert d.strict_tail
+    assert d.tail is not None
     assert d.tail == (gq(1), gq(1))
 
 
@@ -90,7 +90,6 @@ def test_recognize_danielewski_quartic_open_case():
     f = parse_poly("X^3*Y + Z^3*Y + Z^4", ("X", "Y", "Z"))
     d = recognize_family(f)
     assert d.kind == "DanielewskiLike"
-    assert not d.strict_tail
     assert d.tail is None
 
 

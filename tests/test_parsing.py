@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rigidity import ParseError, Polynomial, format_poly, gens, parse_poly
+from rigidity.parsing import MAX_NESTING
 from rigidity.gauss import gq
 
 from helpers import random_poly
@@ -110,6 +111,28 @@ def test_error_dangling_operator():
 def test_error_unclosed_parenthesis():
     with pytest.raises(ParseError):
         parse_poly("(X + Y", XYZ)
+
+
+def nested(depth, inner="X"):
+    return "(" * depth + inner + ")" * depth
+
+
+def test_nesting_up_to_the_limit_parses():
+    X, Y = gens("X", "Y")
+    assert parse_poly(nested(MAX_NESTING - 1) + " + Y", ("X", "Y")) == X + Y
+    assert parse_poly(nested(MAX_NESTING, "X - Y"), ("X", "Y")) == X - Y
+
+
+def test_nesting_past_the_limit_names_the_opening_parenthesis():
+    text = "Y + " + nested(MAX_NESTING + 1)
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, ("X", "Y"))
+    # the first parenthesis past the limit is the 101st, at column 5 + 100
+    assert (info.value.line, info.value.column) == (1, 5 + MAX_NESTING)
+    assert f"deeper than {MAX_NESTING}" in info.value.message
+    with pytest.raises(ParseError) as info:
+        parse_poly("X +\n" + nested(3000), ("X",))
+    assert (info.value.line, info.value.column) == (2, 1 + MAX_NESTING)
 
 
 def test_no_implicit_multiplication():
