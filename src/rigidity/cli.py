@@ -7,7 +7,7 @@ human-readable by default; ``--json`` emits a versioned payload with
 ``--deterministic`` suppresses timing so JSON output is byte-stable.
 
 Exit codes: 0 success, 1 usage or input error, 2 violated internal invariant
-(the last should never happen).
+or any other unexpected exception (the last should never happen).
 """
 
 from __future__ import annotations
@@ -428,6 +428,19 @@ def _emit(payload: dict, as_json: bool, stream) -> None:
         os.close(devnull)
 
 
+def _fault_message(exc: Exception) -> str:
+    """The message of an invariant failure; any other exception also names
+    its type and the innermost frame, in place of a traceback."""
+    if isinstance(exc, InternalInvariantError):
+        return str(exc)
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
+    return f"{type(exc).__name__}: {exc} ({where})"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
@@ -449,14 +462,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         result = args.handler(args)
-    except InternalInvariantError as exc:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "error": {"type": "internal_invariant", "message": str(exc)},
-        }
-        _emit(payload, as_json, sys.stderr if not as_json else sys.stdout)
-        return 2
     except (CliInputError, ParseError, ValueError, ArithmeticError) as exc:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -465,6 +470,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         _emit(payload, as_json, sys.stderr if not as_json else sys.stdout)
         return 1
+    except Exception as exc:  # InternalInvariantError or a fault in the program
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "error": {"type": "internal_invariant", "message": _fault_message(exc)},
+        }
+        _emit(payload, as_json, sys.stderr if not as_json else sys.stdout)
+        return 2
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

@@ -102,7 +102,8 @@ Coeffs = tuple[GaussianRational, ...]
 
 
 class InternalInvariantError(RuntimeError):
-    """A verdict-table invariant failed; the toolkit itself is at fault."""
+    """A verdict-table or search invariant failed; the toolkit itself is at
+    fault."""
 
 
 @dataclass(frozen=True)

@@ -122,14 +122,39 @@ class GaussianRational:
         return _make(-self.re_num, -self.im_num, self.den)
 
     def __sub__(self, other: ScalarLike) -> GaussianRational:
-        if not isinstance(other, (GaussianRational, int, Fraction)):
+        a, b, d = self.re_num, self.im_num, self.den
+        if isinstance(other, GaussianRational):
+            c, e, f = other.re_num, other.im_num, other.den
+        elif isinstance(other, int):
+            return _make(a - int(other) * d, b, d)
+        elif isinstance(other, Fraction):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
             return NotImplemented
-        return self + (-GaussianRational.coerce(other))
+        if d == f:
+            re, im = a - c, b - e
+        else:
+            re, im, d = a * f - c * d, b * f - e * d, d * f
+        g = gcd(re, im, d)
+        if g != 1:
+            return _make(re // g, im // g, d // g)
+        return _make(re, im, d)
 
     def __rsub__(self, other: ScalarLike) -> GaussianRational:
-        if not isinstance(other, (GaussianRational, int, Fraction)):
+        a, b, d = self.re_num, self.im_num, self.den
+        if isinstance(other, int):
+            return _make(int(other) * d - a, -b, d)
+        if not isinstance(other, Fraction):
             return NotImplemented
-        return GaussianRational.coerce(other) + (-self)
+        c, f = other.numerator, other.denominator
+        if d == f:
+            re, im = c - a, -b
+        else:
+            re, im, d = c * d - a * f, -b * f, d * f
+        g = gcd(re, im, d)
+        if g != 1:
+            return _make(re // g, im // g, d // g)
+        return _make(re, im, d)
 
     def __mul__(self, other: ScalarLike) -> GaussianRational:
         a, b, d = self.re_num, self.im_num, self.den

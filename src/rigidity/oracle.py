@@ -12,9 +12,14 @@ scale:
   Gaussian-integer) coefficients, as an oracle that is deliberately weaker
   than the certificates: NoneWithinBounds proves nothing.
 
-The search runs on dense coefficient vectors of plain int pairs (re, im),
-which keeps the inner loop allocation-light; any hit is re-verified with the
-exact arithmetic before being reported.
+The search works on plain int pairs (re, im).  Each level lists its
+nonzero coefficient vectors once, with their values at one or two integer
+filter points, and every leaf is decided from exact Gaussian-integer values:
+the filter rejects a leaf unless the relation vanishes at the point (zero
+target) or takes one nonzero value at both (unit target), and a leaf that
+passes is decided exactly at deg + 1 points, deg bounding the degree of the
+substituted relation.  Any hit is re-verified with exact polynomial
+arithmetic before being reported.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from itertools import product
 from math import lcm
 from typing import Sequence, Union
 
+from .families import InternalInvariantError
 from .gauss import GaussianRational, ScalarLike
 from .mason import (
     ObstructionVerdict,
@@ -183,34 +189,32 @@ class SearchOutcome:
         return self.status == FOUND
 
 
-# --- dense Gaussian-integer polynomial helpers (coefficient fast path) ---
+# Integer points for the leaf filter: a zero target is tested at the first,
+# a unit target at both.
+_FILTER_POINTS = (7, 11)
+# A level with at most this many nonzero coefficient vectors keeps its table
+# for the whole search; a larger one is enumerated again on every visit.
+_TABLE_CAP = 4096
 
-_GPoly = list[tuple[int, int]]
-
-
-def _gmul(p: _GPoly, q: _GPoly) -> _GPoly:
-    out = [(0, 0)] * (len(p) + len(q) - 1)
-    for i, (a, b) in enumerate(p):
-        if a == 0 and b == 0:
-            continue
-        for j, (c, d) in enumerate(q):
-            if c == 0 and d == 0:
-                continue
-            re, im = out[i + j]
-            out[i + j] = (re + a * c - b * d, im + a * d + b * c)
-    return out
+_Pair = tuple[int, int]
 
 
-def _gpow(p: _GPoly, e: int, cache: dict[int, _GPoly]) -> _GPoly:
-    if e in cache:
-        return cache[e]
-    result = _gmul(_gpow(p, e - 1, cache), p)
-    cache[e] = result
-    return result
+def _value_at(vector: tuple[_Pair, ...], x: int) -> _Pair:
+    """The Gaussian-integer value at the integer x of a coefficient vector
+    (constant term first), by Horner's rule."""
+    re = im = 0
+    for cr, ci in reversed(vector):
+        re, im = re * x + cr, im * x + ci
+    return re, im
 
 
-def _is_constant_vector(coeffs: tuple[tuple[int, int], ...]) -> bool:
-    return all(c == (0, 0) for c in coeffs[1:])
+def _pair_pow(z: _Pair, e: int) -> _Pair:
+    """The Gaussian integer z raised to the exponent e >= 0."""
+    a, b = z
+    re, im = 1, 0
+    for _ in range(e):
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
 
 
 def bounded_search(
@@ -231,8 +235,17 @@ def bounded_search(
     every degree bound is 0, in which case the nonzero constant tuples are
     the entire search space.  Enumeration order is deterministic:
     per-variable coefficient vectors ascend lexicographically from the
-    constant term, values ordered by (re, im).  Any hit is re-verified with
-    exact arithmetic before being reported.
+    constant term, values ordered by (re, im).
+
+    Each leaf is decided from exact Gaussian-integer values.  A filter
+    evaluates the substituted relation at one integer point (zero target:
+    the value must be 0) or two (unit target: the values must be equal and
+    nonzero).  A leaf that passes is decided exactly at deg + 1 distinct
+    points, where deg = max over terms of sum_i e_i*d_i bounds the degree
+    of the substituted relation: a polynomial of degree <= deg that
+    vanishes, or takes one value, at deg + 1 points is zero, or that
+    constant.  The hit is then re-verified with exact polynomial
+    arithmetic before being reported.
     """
     bounds = problem.degree_bounds
     if not bounds:
@@ -257,8 +270,7 @@ def bounded_search(
     allow_constant = all(d == 0 for d in bounds)
 
     relation = problem.relation
-    variables = relation.variables
-    n = len(variables)
+    n = len(relation.variables)
     # Clear denominators so every leaf works in Gaussian integers; scaling by
     # a positive rational changes neither vanishing nor unit-ness.
     scale = lcm(
@@ -268,67 +280,110 @@ def bounded_search(
             for part in (coeff.re, coeff.im)
         )
     )
-    term_list = [
-        (
-            exps,
-            [(int(coeff.re * scale), int(coeff.im * scale))],
-        )
+    terms = [
+        (exps, (int(coeff.re * scale), int(coeff.im * scale)))
         for exps, coeff in relation.terms.items()
     ]
     want_zero = problem.constraint == HOMOGENEOUS_ZERO
+    points = _FILTER_POINTS[:1] if want_zero else _FILTER_POINTS
+    deg = max(sum(e * d for e, d in zip(exps, bounds)) for exps, _ in terms)
 
-    chosen: list[tuple[tuple[int, int], ...]] = [()] * n
-    examined = 0
+    # A slot is one term at one filter point; level i multiplies the slots
+    # of the terms that contain its variable.
+    slots = [(exps, k, x) for exps, _ in terms for k, x in enumerate(points)]
+    active = [[s for s, (exps, _, _) in enumerate(slots) if exps[i]] for i in range(n)]
 
-    def leaf_ok(partials: list[_GPoly]) -> bool:
-        width = max(len(p) for p in partials)
-        total_re = [0] * width
-        total_im = [0] * width
-        for p in partials:
-            for k, (re, im) in enumerate(p):
-                total_re[k] += re
-                total_im[k] += im
-        if any(total_re[k] or total_im[k] for k in range(1, width)):
-            return False
-        if want_zero:
-            return total_re[0] == 0 and total_im[0] == 0
-        return total_re[0] != 0 or total_im[0] != 0
-
-    def recurse(i: int, partials: list[_GPoly], nonconstant_seen: bool) -> bool:
-        nonlocal examined
-        if i == n:
-            examined += 1
-            if not nonconstant_seen and not allow_constant:
-                return False
-            return leaf_ok(partials)
+    def rows(i: int):
+        """Level i's nonzero vectors in enumeration order, each with its
+        nonconstant flag and its powered value in every active slot."""
+        zero = ((0, 0),) * (bounds[i] + 1)
+        level_slots = [(slots[s][2], slots[s][0][i]) for s in active[i]]
         for vector in product(values, repeat=bounds[i] + 1):
-            if all(c == (0, 0) for c in vector):
+            if vector == zero:
                 continue
-            cand: _GPoly = list(vector)
-            powers: dict[int, _GPoly] = {0: [(1, 0)], 1: cand}
-            next_partials = []
-            for (exps, _), partial in zip(term_list, partials):
-                e = exps[i]
-                next_partials.append(
-                    partial if e == 0 else _gmul(partial, _gpow(cand, e, powers))
-                )
-            chosen[i] = vector
-            if recurse(
-                i + 1,
-                next_partials,
-                nonconstant_seen or not _is_constant_vector(vector),
-            ):
+            yield (
+                vector,
+                vector[1:] != zero[1:],
+                tuple(_pair_pow(_value_at(vector, x), e) for x, e in level_slots),
+            )
+
+    # The outermost level is visited once; an inner one is cached if small.
+    tables = [
+        list(rows(i)) if 0 < i and len(values) ** (d + 1) - 1 <= _TABLE_CAP else None
+        for i, d in enumerate(bounds)
+    ]
+
+    def exact(chosen: list[tuple[_Pair, ...]]) -> bool:
+        """Decide the tuple from its values at the deg + 1 points 0..deg."""
+        totals = []
+        for x in range(deg + 1):
+            at = [_value_at(vector, x) for vector in chosen]
+            total_re = total_im = 0
+            for exps, (re, im) in terms:
+                for z, e in zip(at, exps):
+                    if e:
+                        vr, vi = _pair_pow(z, e)
+                        re, im = re * vr - im * vi, re * vi + im * vr
+                total_re += re
+                total_im += im
+            totals.append((total_re, total_im))
+        if want_zero:
+            return all(t == (0, 0) for t in totals)
+        return totals[0] != (0, 0) and all(t == totals[0] for t in totals)
+
+    chosen: list[tuple[_Pair, ...]] = [()] * n
+    examined = 0
+    last = n - 1
+
+    def leaves(partials: list[_Pair], nonconstant_seen: bool) -> bool:
+        """Run the last level against fixed partials: sum the slots it
+        leaves alone once, then add each row's products."""
+        nonlocal examined
+        base = [0, 0] * len(points)
+        for s, (re, im) in enumerate(partials):
+            if s not in active[last]:
+                k = slots[s][1]
+                base[2 * k] += re
+                base[2 * k + 1] += im
+        factors = [(*partials[s], 2 * slots[s][1]) for s in active[last]]
+        level = tables[last] if tables[last] is not None else rows(last)
+        for vector, nonconstant, powered in level:
+            examined += 1
+            sums = base[:]
+            for (pr, pi, k), (vr, vi) in zip(factors, powered):
+                sums[k] += pr * vr - pi * vi
+                sums[k + 1] += pr * vi + pi * vr
+            if want_zero:
+                if sums[0] or sums[1]:
+                    continue
+            elif sums[0] != sums[2] or sums[1] != sums[3] or not (sums[0] or sums[1]):
+                continue
+            if not (nonconstant_seen or nonconstant or allow_constant):
+                continue
+            chosen[last] = vector
+            if exact(chosen):
                 return True
         return False
 
-    initial = [coeff_poly for _, coeff_poly in term_list]
-    if recurse(0, initial, False):
-        found = tuple(
-            _vector_to_polynomial(vec, variable) for vec in chosen
-        )
+    def descend(i: int, partials: list[_Pair], nonconstant_seen: bool) -> bool:
+        if i == last:
+            return leaves(partials, nonconstant_seen)
+        level = tables[i] if tables[i] is not None else rows(i)
+        for vector, nonconstant, powered in level:
+            below = partials[:]
+            for s, (vr, vi) in zip(active[i], powered):
+                pr, pi = below[s]
+                below[s] = (pr * vr - pi * vi, pr * vi + pi * vr)
+            chosen[i] = vector
+            if descend(i + 1, below, nonconstant_seen or nonconstant):
+                return True
+        return False
+
+    if descend(0, [coeff for _, coeff in terms for _ in points], False):
+        found = tuple(_vector_to_polynomial(vec, variable) for vec in chosen)
         check = verify_parametrization(problem, found)
         if not check.ok:
-            raise RuntimeError("search hit failed exact re-verification")
+            raise InternalInvariantError("search hit failed exact re-verification")
         return SearchOutcome(status=FOUND, candidates=found, examined=examined)
     return SearchOutcome(status=NONE_WITHIN_BOUNDS, candidates=None, examined=examined)
 

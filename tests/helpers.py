@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import sympy
 
-from rigidity import GaussianRational, Polynomial
+from rigidity import GaussianRational, ParametrizationProblem, Polynomial, SearchOutcome
 
 
 def random_scalar(rng: random.Random, span: int = 6, imaginary: bool = True) -> GaussianRational:
@@ -62,3 +64,120 @@ def to_sympy(p: Polynomial):
             term *= sym**e
         total += term
     return sympy.expand(total)
+
+
+# ---------------------------------------------------------------------------
+# reference bounded search: dense coefficient products at every leaf
+# ---------------------------------------------------------------------------
+
+
+def _gmul(p, q):
+    out = [(0, 0)] * (len(p) + len(q) - 1)
+    for i, (a, b) in enumerate(p):
+        if a == 0 and b == 0:
+            continue
+        for j, (c, d) in enumerate(q):
+            if c == 0 and d == 0:
+                continue
+            re, im = out[i + j]
+            out[i + j] = (re + a * c - b * d, im + a * d + b * c)
+    return out
+
+
+def _gpow(p, e, cache):
+    if e in cache:
+        return cache[e]
+    result = _gmul(_gpow(p, e - 1, cache), p)
+    cache[e] = result
+    return result
+
+
+def reference_search(
+    problem: ParametrizationProblem,
+    *,
+    coefficient_window: int,
+    gaussian: bool = False,
+    variable: str = "S",
+) -> SearchOutcome:
+    """`bounded_search` by dense coefficient vectors: the same enumeration
+    order and domain, with every leaf's substituted relation multiplied out
+    in full.  No ceiling and no re-verification."""
+    bounds = problem.degree_bounds
+    if gaussian:
+        values = [
+            (re, im)
+            for re in range(-coefficient_window, coefficient_window + 1)
+            for im in range(-coefficient_window, coefficient_window + 1)
+        ]
+    else:
+        values = [(re, 0) for re in range(-coefficient_window, coefficient_window + 1)]
+    allow_constant = all(d == 0 for d in bounds)
+    relation = problem.relation
+    n = len(relation.variables)
+    scale = lcm(
+        *(
+            part.denominator
+            for coeff in relation.terms.values()
+            for part in (coeff.re, coeff.im)
+        )
+    )
+    term_list = [
+        (exps, [(int(coeff.re * scale), int(coeff.im * scale))])
+        for exps, coeff in relation.terms.items()
+    ]
+    want_zero = problem.constraint == "zero"
+    chosen = [()] * n
+    examined = 0
+
+    def leaf_ok(partials):
+        width = max(len(p) for p in partials)
+        total_re = [0] * width
+        total_im = [0] * width
+        for p in partials:
+            for k, (re, im) in enumerate(p):
+                total_re[k] += re
+                total_im[k] += im
+        if any(total_re[k] or total_im[k] for k in range(1, width)):
+            return False
+        if want_zero:
+            return total_re[0] == 0 and total_im[0] == 0
+        return total_re[0] != 0 or total_im[0] != 0
+
+    def recurse(i, partials, nonconstant_seen):
+        nonlocal examined
+        if i == n:
+            examined += 1
+            if not nonconstant_seen and not allow_constant:
+                return False
+            return leaf_ok(partials)
+        for vector in product(values, repeat=bounds[i] + 1):
+            if all(c == (0, 0) for c in vector):
+                continue
+            cand = list(vector)
+            powers = {0: [(1, 0)], 1: cand}
+            next_partials = []
+            for (exps, _), partial in zip(term_list, partials):
+                e = exps[i]
+                next_partials.append(
+                    partial if e == 0 else _gmul(partial, _gpow(cand, e, powers))
+                )
+            chosen[i] = vector
+            nonconstant = not all(c == (0, 0) for c in vector[1:])
+            if recurse(i + 1, next_partials, nonconstant_seen or nonconstant):
+                return True
+        return False
+
+    if recurse(0, [coeff_poly for _, coeff_poly in term_list], False):
+        found = tuple(
+            Polynomial(
+                (variable,),
+                {
+                    (degree,): GaussianRational(re, im)
+                    for degree, (re, im) in enumerate(vec)
+                    if re or im
+                },
+            )
+            for vec in chosen
+        )
+        return SearchOutcome(status="Found", candidates=found, examined=examined)
+    return SearchOutcome(status="NoneWithinBounds", candidates=None, examined=examined)

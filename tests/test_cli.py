@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import rigidity.cli as cli
 import rigidity.families as families
+import rigidity.oracle as oracle
 from rigidity.cli import main
 from rigidity.derivation import NilpotencyReport
 
@@ -234,6 +236,48 @@ def test_corrupt_witness_reverification_exits_2(monkeypatch, capsys):
     payload = json.loads(captured.out)
     assert payload["error"]["type"] == "internal_invariant"
     assert "failed nilpotency certification" in payload["error"]["message"]
+
+
+def test_search_hit_failing_reverification_exits_2(monkeypatch, capsys):
+    def refuse(problem, candidates):
+        return oracle.ParametrizationCheck(ok=False, residual=candidates[0])
+
+    monkeypatch.setattr(oracle, "verify_parametrization", refuse)
+    code = main(
+        ["search", "--relation", "X^2 + Y^2", "--max-deg", "1,1",
+         "--coeff-window", "1", "--gaussian", "--json", "--deterministic"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["command"] == "search"
+    assert payload["error"] == {
+        "type": "internal_invariant",
+        "message": "search hit failed exact re-verification",
+    }
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_unexpected_handler_exception_exits_2(monkeypatch, capsys, as_json):
+    def broken(*args, **kwargs):
+        raise KeyError("no such slot")
+
+    monkeypatch.setattr(cli, "bounded_search", broken)
+    argv = ["search", "--relation", "X^2 + Y^2", "--max-deg", "1,1"]
+    code = main(argv + (["--json", "--deterministic"] if as_json else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    if as_json:
+        payload = json.loads(captured.out)
+        assert payload["command"] == "search"
+        assert payload["error"]["type"] == "internal_invariant"
+        assert payload["error"]["message"].startswith("KeyError: 'no such slot' (")
+        assert "in broken)" in payload["error"]["message"]
+    else:
+        assert captured.out == ""
+        assert "KeyError" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import rigidity.oracle as oracle
 from rigidity import (
     ParametrizationProblem,
     Polynomial,
@@ -10,12 +14,13 @@ from rigidity import (
     bounded_search,
     gens,
     parametrization_obstructed,
+    parse_poly,
     remark_family_candidates,
     verify_parametrization,
 )
 from rigidity.gauss import gq
 
-from helpers import random_poly, random_scalar
+from helpers import random_poly, random_scalar, reference_search
 
 S, = gens("S")
 
@@ -257,6 +262,115 @@ def test_search_never_beats_a_certificate(constraint, build, bounds, window, gau
     assert parametrization_obstructed(problem).obstructed
     outcome = bounded_search(problem, coefficient_window=window, gaussian=gaussian)
     assert outcome.status == "NoneWithinBounds"
+
+
+# ---------------------------------------------------------------------------
+# bounded search against the dense reference, filter collisions, memory
+# ---------------------------------------------------------------------------
+
+# At most this many tuples per drawn search, so that the dense reference
+# stays fast.
+REFERENCE_SPACE = 7000
+
+coefficients = st.sampled_from(
+    [gq(1), gq(-1), gq(2), gq(-3), gq(0, 1), gq(1, -1), gq(Fraction(1, 2)), gq(Fraction(-2, 3), 1)]
+)
+
+
+@st.composite
+def search_problems(draw):
+    n = draw(st.integers(2, 3))
+    names = ("X", "Y", "Z")[:n]
+    relation = Polynomial.zero(names)
+    for _ in range(draw(st.integers(2, 3))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in names)
+        relation = relation + Polynomial.monomial(names, exps, draw(coefficients))
+    assume(not relation.is_constant)
+    gaussian = draw(st.booleans())
+    bounds = [draw(st.integers(0, 2)) for _ in names]
+    width = 9 if gaussian else 3
+    # Shrink the largest bound until the reference can exhaust the space.
+    while width ** sum(d + 1 for d in bounds) > REFERENCE_SPACE:
+        bounds[bounds.index(max(bounds))] -= 1
+    constraint = draw(st.sampled_from(["zero", "unit"]))
+    return ParametrizationProblem(relation, constraint, tuple(bounds)), gaussian
+
+
+@settings(max_examples=80, deadline=None)
+@given(search_problems())
+def test_search_matches_the_dense_reference(drawn):
+    problem, gaussian = drawn
+    outcome = bounded_search(problem, coefficient_window=1, gaussian=gaussian)
+    expected = reference_search(problem, coefficient_window=1, gaussian=gaussian)
+    assert outcome.status == expected.status
+    assert outcome.examined == expected.examined
+    assert outcome.candidates == expected.candidates
+
+
+def test_zero_target_filter_collision_is_rejected_exactly():
+    # X = S, Y = 1 makes X - p*Y vanish at the filter point p, but the
+    # substituted relation S - p is not zero.
+    p = oracle._FILTER_POINTS[0]
+    X, Y = gens("X", "Y")
+    problem = zero_problem(X - p * Y, (1, 0))
+    assert verify_parametrization(problem, (S, 1)).residual == S - p
+    outcome = bounded_search(problem, coefficient_window=1)
+    assert outcome == reference_search(problem, coefficient_window=1)
+    assert outcome.status == "NoneWithinBounds"
+    assert outcome.examined == 8 * 2
+
+
+def test_unit_target_filter_collision_is_rejected_exactly():
+    # X = S^2, Y = S, Z = 1 gives (S - p)*(S - q) + 1: the value 1 at both
+    # filter points, yet not constant.
+    p, q = oracle._FILTER_POINTS
+    X, Y, Z = gens("X", "Y", "Z")
+    problem = unit_problem(X - (p + q) * Y + (p * q + 1) * Z, (2, 1, 0))
+    value = verify_parametrization(problem, (S**2, S, 1)).residual
+    assert value == (S - p) * (S - q) + 1
+    outcome = bounded_search(problem, coefficient_window=1)
+    assert outcome == reference_search(problem, coefficient_window=1)
+    assert outcome.status == "NoneWithinBounds"
+    assert outcome.examined == 26 * 8 * 2
+
+
+def test_search_above_the_table_cap_streams_in_bounded_memory():
+    X, Y = gens("X", "Y")
+    problem = unit_problem(X**2 + 2 * Y**3, (0, 8))
+    inner = 3**9 - 1
+    assert inner > oracle._TABLE_CAP
+    tracemalloc.start()
+    try:
+        outcome = bounded_search(problem, coefficient_window=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.status == "NoneWithinBounds"
+    assert outcome.examined == 2 * inner
+    assert peak < 4 * 2**20, peak
+
+
+CRITERION_10_FIXTURES = [
+    ("F^2 + H^3", ("F", "H"), "unit", (3, 2), 2, False),
+    ("F^3 + H^3 + H^6", ("F", "H"), "unit", (2, 2), 2, False),
+    ("U^2*V^2 + W^3", ("U", "V", "W"), "unit", (1, 1, 1), 2, False),
+    ("X^3*Y^2 + Z^3 + T^6", ("X", "Y", "Z", "T"), "zero", (1, 1, 1, 1), 2, False),
+    ("X^2 + Y^3 + Z^7", ("X", "Y", "Z"), "zero", (2, 2, 1), 2, False),
+    ("X^2 + Y^2", ("X", "Y"), "zero", (1, 1), 1, True),
+    ("X^3*Y + Z^3*Y + Z^4", ("X", "Y", "Z"), "zero", (4, 0, 3), 1, False),
+]
+
+
+def test_uncached_tables_give_the_same_outcomes(monkeypatch):
+    problems = [
+        (ParametrizationProblem(parse_poly(text, names), constraint, bounds), window, gaussian)
+        for text, names, constraint, bounds, window, gaussian in CRITERION_10_FIXTURES
+    ]
+    cached = [bounded_search(p, coefficient_window=w, gaussian=g) for p, w, g in problems]
+    monkeypatch.setattr(oracle, "_TABLE_CAP", 0)
+    streamed = [bounded_search(p, coefficient_window=w, gaussian=g) for p, w, g in problems]
+    assert streamed == cached
+    assert [o.found for o in cached] == [False] * 5 + [True] * 2
 
 
 # ---------------------------------------------------------------------------
