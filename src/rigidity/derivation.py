@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .gauss import GaussianRational, ScalarLike
-from .poly import MINUS_INF, Polynomial, NotDivisibleError, UnknownVariableError
+from .poly import Polynomial, UnknownVariableError
 from .quotient import PresentationMismatchError, RingElement, RingPresentation
 
 DEFAULT_PROBE_BOUND = 64
@@ -124,13 +124,13 @@ class NilpotencyReport:
 
 
 def probe_nilpotency(
-    derivation: Derivation,
-    bound: int = DEFAULT_PROBE_BOUND,
-    term_ceiling: int = DEFAULT_TERM_CEILING,
+    derivation: Derivation, bound: int = DEFAULT_PROBE_BOUND
 ) -> NilpotencyReport:
     """Iterate the derivation on each generator until zero or budget runs out.
 
     steps_per_generator[i] is the least n with D^n(x_i) = 0 in the quotient.
+    An iterate with more than DEFAULT_TERM_CEILING terms also ends the probe
+    as inconclusive.
     """
     if bound < 1:
         raise ValueError("probe bound must be positive")
@@ -147,13 +147,13 @@ def probe_nilpotency(
                     bound_used=bound,
                     detail=f"generator {gen.rep!r} not annihilated within {bound} steps",
                 )
-            if len(current.rep.terms) > term_ceiling:
+            if len(current.rep.terms) > DEFAULT_TERM_CEILING:
                 return NilpotencyReport(
                     status="inconclusive",
                     certificate=None,
                     steps_per_generator=None,
                     bound_used=bound,
-                    detail=f"iterate exceeded {term_ceiling} terms",
+                    detail=f"iterate exceeded {DEFAULT_TERM_CEILING} terms",
                 )
             current = apply(derivation, current)
             n += 1
@@ -224,168 +224,3 @@ def certify_by_negative_grading(
         weights=weights,
         degree_drop=e,
     )
-
-
-def component_invariance_check(
-    derivation: Derivation, factors: Sequence[Polynomial]
-) -> tuple[bool, ...]:
-    """For each factor f_i of the relation, decide whether D(f_i) is in f_i*A.
-
-    Each factor must divide the relation exactly.  Because f_i divides the
-    relation, the ideal (f_i, relation) of the polynomial ring equals (f_i),
-    so membership in the quotient reduces to exact polynomial division.
-    """
-    relation = derivation.presentation.relation
-    results = []
-    for factor in factors:
-        if factor.is_zero or not factor.divides(relation):
-            raise ValueError(f"{factor!r} does not divide the defining relation")
-        image = apply(derivation, derivation.presentation.normal_form(factor))
-        results.append(factor.divides(image.rep))
-    return tuple(results)
-
-
-class WrongFamilyError(ValueError):
-    """The presentation is not a four-variable sum of monic pure powers."""
-
-
-class NotInNormalFormError(ValueError):
-    """The derivation does not have the expected split shape."""
-
-
-@dataclass(frozen=True)
-class DiagonalSplit:
-    """Split of a derivation on C[X,Y,Z,T]/(X^a+Y^b+Z^c+T^d) as
-
-        D = d * t^(d-1) * delta  -  Q * d/dT,
-
-    where delta only involves the first three generators and
-    Q = delta(x^a + y^b + z^c).  delta_kills_q records whether additionally
-    delta(Q) = 0; this is reported, not asserted, since for derivations that
-    are not locally nilpotent it can legitimately fail.
-    """
-
-    delta_images: tuple[RingElement, RingElement, RingElement]
-    q: RingElement
-    delta_kills_q: bool
-
-
-def split_diagonal_derivation(derivation: Derivation) -> DiagonalSplit:
-    """Decompose a derivation on a four-variable diagonal hypersurface.
-
-    The presentation must be literally X^a+Y^b+Z^c+T^d (monic pure powers of
-    the four declared variables); the final variable plays the role of t.
-    Raises NotInNormalFormError when a divisibility or purity requirement
-    fails, so callers can distinguish "wrong shape" from user error.
-    """
-    presentation = derivation.presentation
-    variables = presentation.variables
-    if len(variables) != 4:
-        raise WrongFamilyError("the split requires a four-variable presentation")
-    exponents = _diagonal_exponents(presentation.relation)
-    if exponents is None:
-        raise WrongFamilyError(
-            "the relation is not a monic sum of pure powers X^a+Y^b+Z^c+T^d"
-        )
-    d = exponents[3]
-    t_name = variables[3]
-    t_index = 3
-    # Divide the first three images by d * t^(d-1).
-    divisor = Polynomial.monomial(
-        variables, tuple(d - 1 if i == t_index else 0 for i in range(4)), d
-    )
-    delta_lifts: list[Polynomial] = []
-    for name, img in zip(variables[:3], derivation.images[:3]):
-        try:
-            quotient = img.rep.divide_exact(divisor)
-        except NotDivisibleError as exc:
-            raise NotInNormalFormError(
-                f"image of {name} is not divisible by {d}*{t_name}^{d-1}"
-            ) from exc
-        if quotient.degree_in(t_name) not in (0, MINUS_INF):
-            raise NotInNormalFormError(f"split image of {name} still involves {t_name}")
-        delta_lifts.append(quotient)
-    q_lift = -derivation.images[3].rep
-    if q_lift.degree_in(t_name) not in (0, MINUS_INF):
-        raise NotInNormalFormError(f"-D({t_name}) involves {t_name}")
-    # Q must equal delta(x^a + y^b + z^c).
-    head = Polynomial.zero(variables)
-    for i in range(3):
-        head = head + Polynomial.monomial(
-            variables, tuple(exponents[i] if j == i else 0 for j in range(4))
-        )
-    delta_of_head = Polynomial.zero(variables)
-    for name, lift in zip(variables[:3], delta_lifts):
-        delta_of_head = delta_of_head + lift * head.diff(name)
-    if not presentation.normal_form(delta_of_head - q_lift).is_zero:
-        raise NotInNormalFormError("-D(t) does not match delta applied to x^a+y^b+z^c")
-    delta_of_q = Polynomial.zero(variables)
-    for name, lift in zip(variables[:3], delta_lifts):
-        delta_of_q = delta_of_q + lift * q_lift.diff(name)
-    return DiagonalSplit(
-        delta_images=tuple(presentation.normal_form(l) for l in delta_lifts),  # type: ignore[arg-type]
-        q=presentation.normal_form(q_lift),
-        delta_kills_q=presentation.normal_form(delta_of_q).is_zero,
-    )
-
-
-def _diagonal_exponents(relation: Polynomial) -> tuple[int, ...] | None:
-    """Exponents (a,b,c,d) when the relation is exactly X^a+Y^b+Z^c+T^d."""
-    n = len(relation.variables)
-    if len(relation.terms) != n:
-        return None
-    exponents = [0] * n
-    seen = set()
-    for exps, coeff in relation.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) != 1 or coeff != GaussianRational.coerce(1):
-            return None
-        (i,) = support
-        if i in seen:
-            return None
-        seen.add(i)
-        exponents[i] = exps[i]
-    return tuple(exponents)
-
-
-@dataclass(frozen=True)
-class RatioResult:
-    """Outcome of the logarithmic-derivative ratio test.
-
-    status: "ratio" when f'g = h * f g' for a constant h (then `ratio` is h,
-    an exact rational equal to deg f / deg g); "indeterminate" when both
-    inputs are constants; "no_constant_ratio" otherwise.
-    """
-
-    status: str
-    ratio: Fraction | None = None
-
-
-def log_derivative_ratio(f: Polynomial, g: Polynomial) -> RatioResult:
-    """Detect a constant ratio between the logarithmic derivatives f'/f, g'/g.
-
-    Both inputs must be nonzero univariate polynomials in one shared
-    variable.  When a constant h with f'g = h*f*g' exists it is forced to be
-    deg(f)/deg(g) by comparing leading coefficients, so only that single
-    candidate needs checking.
-    """
-    if f.is_zero or g.is_zero:
-        raise ValueError("both polynomials must be nonzero")
-    var_f, _ = f.univariate_profile()
-    var_g, _ = g.univariate_profile()
-    if var_f is not None and var_g is not None and var_f != var_g:
-        raise ValueError("inputs use different variables")
-    deg_f = f.total_degree()
-    deg_g = g.total_degree()
-    if deg_f == 0 and deg_g == 0:
-        return RatioResult(status="indeterminate")
-    if deg_g == 0:
-        # f'g is nonzero while f*g' = 0: no constant h can work.
-        return RatioResult(status="no_constant_ratio")
-    var = var_g if var_f is None else var_f
-    candidate = Fraction(deg_f, deg_g)
-    left = f.diff(var) * g
-    right = f * g.diff(var)
-    if left == right * candidate:
-        return RatioResult(status="ratio", ratio=candidate)
-    return RatioResult(status="no_constant_ratio")

@@ -565,20 +565,6 @@ def classify(descriptor: FamilyDescriptor) -> Verdict:
     raise ValueError(f"unknown family kind {descriptor.kind!r}")
 
 
-def witness_for(descriptor: FamilyDescriptor) -> Derivation:
-    """The catalog witness for a NotRigid descriptor, validated and certified.
-
-    Raises ValueError when the descriptor is not a NotRigid case, or when the
-    catalog witness is not expressible over Q(i) for these coefficients.
-    """
-    verdict = classify(descriptor)
-    if verdict.status != NOT_RIGID:
-        raise ValueError(f"not a NotRigid case (verdict {verdict.status})")
-    if verdict.witness is None:
-        raise ValueError("; ".join(verdict.notes) or "no witness available")
-    return verdict.witness
-
-
 def _verdict_with_witness(
     descriptor: FamilyDescriptor,
     citation: str,

@@ -59,21 +59,6 @@ def gr_presentation(
     )
 
 
-def homogeneous_components(p: Polynomial, weights: WeightVector) -> dict[int, Polynomial]:
-    """Split p into its w-homogeneous pieces, keyed by weighted degree."""
-    weights = tuple(int(w) for w in weights)
-    if len(weights) != len(p.variables):
-        raise ValueError("weight vector length does not match the variable count")
-    buckets: dict[int, dict] = {}
-    for exps, coeff in p.terms.items():
-        degree = sum(w * e for w, e in zip(weights, exps))
-        buckets.setdefault(degree, {})[exps] = coeff
-    return {
-        degree: Polynomial(p.variables, terms)
-        for degree, terms in sorted(buckets.items())
-    }
-
-
 def pattern_irreducible(p: Polynomial) -> bool:
     """Whether p matches a shape known to be irreducible over Q(i).
 
@@ -192,9 +177,11 @@ def derivation_degree_jump(derivation: Derivation, weights: WeightVector) -> Deg
 def _check_weights(
     presentation: RingPresentation, weights: WeightVector, allow_negative: bool
 ) -> tuple[int, ...]:
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(weights)
     if len(weights) != len(presentation.variables):
         raise ValueError("weight vector length does not match the variable count")
+    if any(not isinstance(w, int) for w in weights):
+        raise ValueError("weights must be integers")
     if not allow_negative and any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative here")
     return weights

@@ -222,7 +222,6 @@ def bounded_search(
     *,
     coefficient_window: int = DEFAULT_WINDOW,
     gaussian: bool = False,
-    ceiling: int = DEFAULT_CEILING,
     variable: str = "S",
 ) -> SearchOutcome:
     """Exhaust all candidate tuples with coefficients in the window.
@@ -235,7 +234,8 @@ def bounded_search(
     every degree bound is 0, in which case the nonzero constant tuples are
     the entire search space.  Enumeration order is deterministic:
     per-variable coefficient vectors ascend lexicographically from the
-    constant term, values ordered by (re, im).
+    constant term, values ordered by (re, im).  A search space of more
+    than DEFAULT_CEILING tuples raises SearchSpaceError.
 
     Each leaf is decided from exact Gaussian-integer values.  A filter
     evaluates the substituted relation at one integer point (zero target:
@@ -263,9 +263,9 @@ def bounded_search(
     space = 1
     for d in bounds:
         space *= len(values) ** (d + 1)
-    if space > ceiling:
+    if space > DEFAULT_CEILING:
         raise SearchSpaceError(
-            f"search space of {space} tuples exceeds the ceiling {ceiling}"
+            f"search space of {space} tuples exceeds the ceiling {DEFAULT_CEILING}"
         )
     allow_constant = all(d == 0 for d in bounds)
 

@@ -130,13 +130,6 @@ class RingElement:
         return f"RingElement({self.rep!r} mod {self.presentation.relation!r})"
 
 
-def equals(u: RingElement, v: RingElement) -> bool:
-    """Equality of residue classes; raises on a presentation mismatch."""
-    if u.presentation != v.presentation:
-        raise PresentationMismatchError("elements live in different quotient rings")
-    return u.rep == v.rep
-
-
 def member(g: Union[Polynomial, RingElement], presentation: RingPresentation) -> bool:
     """Whether g lies in the principal ideal generated by the relation."""
     lift = g.rep if isinstance(g, RingElement) else g

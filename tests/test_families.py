@@ -17,7 +17,6 @@ from rigidity import (
     probe_nilpotency,
     recognize_family,
     three_term_xy,
-    witness_for,
 )
 from rigidity.gauss import gq
 
@@ -219,13 +218,11 @@ def test_fermat3_two_squares_witness():
     assert v.witness.image_of("Z").rep == X + gq(0, 1) * Y
 
 
-def test_fermat3_two_squares_withholds_witness_for_bad_ratio():
+def test_fermat3_two_squares_withholds_witness_at_bad_ratio():
     v = classify(fermat_3(2, 2, 5, coefficients=(1, 3, 1)))
     assert v.status == "NotRigid"
     assert v.witness is None
     assert any("square root" in note for note in v.notes)
-    with pytest.raises(ValueError):
-        witness_for(fermat_3(2, 2, 5, coefficients=(1, 3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +506,15 @@ def test_citation_strings_are_stable():
 # ---------------------------------------------------------------------------
 
 
-def test_witness_for_rejects_rigid_cases():
-    with pytest.raises(ValueError):
-        witness_for(three_term_xy(2, 3, 5))
+def test_rigid_verdict_carries_no_witness():
+    v = classify(three_term_xy(2, 3, 5))
+    assert v.status == "Rigid"
+    assert v.witness is None
 
 
-def test_witness_for_returns_certified_derivation():
-    w = witness_for(mixed_four(2, 2, 2, 3))
+def test_not_rigid_verdict_carries_certified_witness():
+    w = classify(mixed_four(2, 2, 2, 3)).witness
+    assert w is not None
     assert probe_nilpotency(w, bound=8).certified
 
 

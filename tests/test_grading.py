@@ -11,7 +11,6 @@ from rigidity import (
     derivation_degree_jump,
     gens,
     gr_presentation,
-    homogeneous_components,
     make_derivation,
     pattern_irreducible,
     probe_nilpotency,
@@ -67,39 +66,19 @@ def test_degenerate_grading_rejected():
         gr_presentation(base, (-1, 0))
 
 
+def test_gr_presentation_rejects_non_integer_weights():
+    base = RingPresentation(XYZ, X**2 + Y**3 + Z**5)
+    with pytest.raises(ValueError, match="integers"):
+        gr_presentation(base, (1.7, 1, 1))
+    with pytest.raises(ValueError, match="integers"):
+        gr_presentation(base, (15, 10, 6.0))
+
+
 def test_negative_weights_allowed_when_top_is_honest():
     base = RingPresentation(XY, Xp * Yp + Xp)
     graded = gr_presentation(base, (-1, 2))
     assert graded.gr_relation == Xp * Yp
     assert graded.weights == (-1, 2)
-
-
-# ---------------------------------------------------------------------------
-# homogeneous components
-# ---------------------------------------------------------------------------
-
-
-def test_components_reassemble_bulk():
-    rng = random.Random(2024)
-    for _ in range(150):
-        f = random_poly(rng, XYZ, max_terms=6, max_exp=4)
-        weights = tuple(rng.randint(-2, 3) for _ in XYZ)
-        parts = homogeneous_components(f, weights)
-        total = Polynomial.zero(XYZ)
-        for degree, part in parts.items():
-            assert not part.is_zero
-            assert part.weighted_degree(weights) == degree
-            assert part.top_part(weights) == part  # each part is homogeneous
-            total = total + part
-        assert total == f
-
-
-def test_components_fixture():
-    f = X**2 + X * Y + Z
-    parts = homogeneous_components(f, (1, 1, 1))
-    assert set(parts) == {1, 2}
-    assert parts[2] == X**2 + X * Y
-    assert parts[1] == Z
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +136,15 @@ def test_coset_degree_exact_when_pattern_applies():
     assert out.exact is True
     assert out.value == 2
     assert out.reduced == X + Z
+
+
+def test_coset_degree_rejects_non_integer_weights():
+    base = RingPresentation(XY, Xp * Yp - 1)
+    cls = base.normal_form(Xp**3 * Yp + Xp)
+    with pytest.raises(ValueError, match="integers"):
+        coset_degree(cls, (1.5, 0))
+    with pytest.raises(ValueError, match="integers"):
+        coset_degree(base.zero(), (1, 0.5))
 
 
 def test_coset_degree_zero_class():

@@ -233,8 +233,6 @@ def test_search_space_ceiling():
     problem = zero_problem(X**2 + Y**2 + Z**2, (2, 2, 2))
     with pytest.raises(SearchSpaceError):
         bounded_search(problem, coefficient_window=2, gaussian=True)
-    with pytest.raises(SearchSpaceError):
-        bounded_search(problem, coefficient_window=1, ceiling=10)
 
 
 def test_search_argument_validation():
