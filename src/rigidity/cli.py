@@ -30,7 +30,7 @@ from .derivation import (
     make_derivation,
     probe_nilpotency,
 )
-from .families import InternalInvariantError, classify, recognize_family
+from .families import classify, recognize_family
 from .grading import derivation_degree_jump, gr_presentation
 from .mason import mason_check, obstruction_check
 from .oracle import (
@@ -40,8 +40,8 @@ from .oracle import (
     bounded_search,
     verify_parametrization,
 )
-from .parsing import ParseError, _tokenize, format_poly, parse_poly
-from .poly import Polynomial
+from .parsing import MAX_EXPONENT, ParseError, _tokenize, format_poly, parse_poly
+from .poly import InternalInvariantError, Polynomial
 from .quotient import RingPresentation
 
 SCHEMA_VERSION = "1"
@@ -154,7 +154,7 @@ def _witness_payload(witness: Derivation) -> dict[str, str]:
 
 def cmd_classify(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
-    relation = parse_poly(args.relation, variables)
+    relation = parse_poly(args.relation, variables, max_exponent=MAX_EXPONENT)
     descriptor = recognize_family(relation)
     verdict = classify(descriptor)
     result = {
@@ -178,11 +178,12 @@ def cmd_classify(args: argparse.Namespace) -> dict:
 
 def cmd_verify_derivation(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
-    relation = parse_poly(args.relation, variables)
+    relation = parse_poly(args.relation, variables, max_exponent=MAX_EXPONENT)
     presentation = RingPresentation(variables, relation)
     assignments = _parse_assignments(args.image or (), variables, "--image")
     images = [
-        parse_poly(assignments[v], variables) if v in assignments
+        parse_poly(assignments[v], variables, max_exponent=MAX_EXPONENT)
+        if v in assignments
         else Polynomial.zero(variables)
         for v in variables
     ]
@@ -213,7 +214,7 @@ def cmd_verify_derivation(args: argparse.Namespace) -> dict:
 
 def cmd_gr(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
-    relation = parse_poly(args.relation, variables)
+    relation = parse_poly(args.relation, variables, max_exponent=MAX_EXPONENT)
     presentation = RingPresentation(variables, relation)
     weights = _parse_int_list(args.weights, "--weights")
     graded = gr_presentation(presentation, weights)
@@ -231,7 +232,7 @@ def cmd_mason(args: argparse.Namespace) -> dict:
     pieces = [piece.strip() for piece in args.polys.split(";")]
     if any(not piece for piece in pieces):
         raise CliInputError(f"--polys expects 'p1;p2;...', got {args.polys!r}")
-    polys = [parse_poly(piece, (args.var,)) for piece in pieces]
+    polys = [parse_poly(piece, (args.var,), max_exponent=MAX_EXPONENT) for piece in pieces]
     report = mason_check(polys)
     return {
         "hypotheses_ok": report.hypotheses_ok,
@@ -263,12 +264,13 @@ def cmd_obstruct(args: argparse.Namespace) -> dict:
 
 def cmd_param_verify(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
-    relation = parse_poly(args.relation, variables)
+    relation = parse_poly(args.relation, variables, max_exponent=MAX_EXPONENT)
     problem = ParametrizationProblem(relation, args.constraint)
     assignments = _parse_assignments(args.sub or (), variables, "--sub")
     parameter = (args.param_var,)
     candidates = [
-        parse_poly(assignments[v], parameter) if v in assignments
+        parse_poly(assignments[v], parameter, max_exponent=MAX_EXPONENT)
+        if v in assignments
         else Polynomial.zero(parameter)
         for v in variables
     ]
@@ -282,7 +284,7 @@ def cmd_param_verify(args: argparse.Namespace) -> dict:
 
 def cmd_search(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
-    relation = parse_poly(args.relation, variables)
+    relation = parse_poly(args.relation, variables, max_exponent=MAX_EXPONENT)
     bounds = _parse_int_list(args.max_deg, "--max-deg")
     if len(bounds) != len(variables):
         raise CliInputError(

@@ -32,7 +32,7 @@ from .derivation import (
 )
 from .gauss import GaussianRational, ScalarLike
 from .mason import OBSTRUCTED, check_fermat_sum, check_mini_mason
-from .poly import Polynomial
+from .poly import InternalInvariantError, Polynomial
 from .quotient import RingPresentation
 
 THREE_TERM_XY = "ThreeTermXY"
@@ -99,11 +99,6 @@ CITE_OUT_OF_SCOPE = "outside the catalog"
 
 Names = tuple[str, ...]
 Coeffs = tuple[GaussianRational, ...]
-
-
-class InternalInvariantError(RuntimeError):
-    """A verdict-table or search invariant failed; the toolkit itself is at
-    fault."""
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,8 @@ def mason_check(fs: Sequence[Polynomial]) -> MasonReport:
             g = fs[idx[0]]
             for i in idx[1:]:
                 g = gcd_univariate(g, fs[i])
+                if g.is_constant:
+                    break
             if not g.is_constant:
                 violation = (
                     f"zero-sum subset {tuple(i + 1 for i in idx)} has "
@@ -135,7 +137,11 @@ class ObstructionVerdict:
     """Outcome of a closed-form parametrization obstruction.
 
     Obstructed: the cited inequality holds, so no tuple of nonzero
-    polynomials with a nonconstant entry satisfies the pattern.
+    polynomials with a nonconstant entry satisfies the pattern.  For the
+    zero-target patterns (doublemason, ex1) the claim covers only tuples
+    whose entries are pairwise coprime and not all constant, the
+    Mason-Stothers hypothesis: both shapes are weighted homogeneous, so
+    entries sharing a common factor can solve them.
     NotObstructed: the inequality fails - the certificate is silent, which
     proves nothing about existence.  HypothesisNotMet: a structural
     hypothesis (not the inequality) fails.
@@ -205,8 +211,9 @@ def check_twisted_mason(a: int, b: int, c: int) -> ObstructionVerdict:
 
 
 def check_double_mason(a: int, b: int, c: int, d: int) -> ObstructionVerdict:
-    """f^a*g^b + h^c + i^d = 0: constants only when 1/b + 1/c + 1/d <= 1
-    (after arranging a >= b)."""
+    """f^a*g^b + h^c + i^d = 0 with f, g, h, i pairwise coprime: constants
+    only when 1/b + 1/c + 1/d <= 1 (after arranging a >= b).  Entries with a
+    common factor are not covered."""
     _require_positive(a=a, b=b, c=c, d=d)
     if a < b:
         a, b = b, a
@@ -221,8 +228,9 @@ def check_double_mason(a: int, b: int, c: int, d: int) -> ObstructionVerdict:
 
 
 def check_fermat_sum(ds: Sequence[int]) -> ObstructionVerdict:
-    """x_1^{d_1} + .. + x_n^{d_n} = 0, n >= 3: constants only when every
-    d_i >= 2, gcd(d_1..d_n) = 1 and sum(1/d_i) <= 1/(n-2)."""
+    """x_1^{d_1} + .. + x_n^{d_n} = 0, n >= 3, x_i pairwise coprime:
+    constants only when every d_i >= 2, gcd(d_1..d_n) = 1 and
+    sum(1/d_i) <= 1/(n-2).  Entries with a common factor are not covered."""
     ds = tuple(ds)
     if len(ds) < 3:
         raise ValueError("need at least 3 exponents")

@@ -29,7 +29,6 @@ from itertools import product
 from math import lcm
 from typing import Sequence, Union
 
-from .families import InternalInvariantError
 from .gauss import GaussianRational, ScalarLike
 from .mason import (
     ObstructionVerdict,
@@ -39,7 +38,7 @@ from .mason import (
     check_mini_mason,
     check_twisted_mason,
 )
-from .poly import Polynomial
+from .poly import InternalInvariantError, Polynomial
 
 HOMOGENEOUS_ZERO = "zero"
 UNIT_TARGET = "unit"

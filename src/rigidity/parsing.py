@@ -11,7 +11,8 @@ imaginary unit, exponents apply to variables only:
     rational    := integer ('/' positive-integer)?
 
 Parentheses nest at most :data:`MAX_NESTING` deep; deeper input is a
-:class:`ParseError` at the first parenthesis past the limit.
+:class:`ParseError` at the first parenthesis past the limit.  The command
+line also caps exponents at :data:`MAX_EXPONENT`.
 
 :func:`format_poly` emits a canonical form (graded-lex descending, fixed
 coefficient spelling) that parses back to the same polynomial, and distinct
@@ -30,6 +31,11 @@ from .poly import Polynomial
 #: Deepest parenthesis nesting the parser accepts.  The parser recurses a few
 #: frames per level, so this keeps it well under the interpreter's limit.
 MAX_NESTING = 100
+
+#: Largest exponent the command line accepts (``parse_poly(max_exponent=)``).
+#: Univariate kernels allocate ``degree + 1`` dense slots, so an unbounded
+#: exponent would be an unbounded allocation.
+MAX_EXPONENT = 10_000
 
 
 class ParseError(ValueError):

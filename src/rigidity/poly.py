@@ -15,6 +15,7 @@ tie-break directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .gauss import ONE, ZERO, GaussianRational, ScalarLike, power_by_squaring
@@ -41,6 +42,11 @@ class NotDivisibleError(ArithmeticError):
 
 class NotUnivariateError(ValueError):
     """Raised when a univariate-only operation receives multivariate input."""
+
+
+class InternalInvariantError(RuntimeError):
+    """An exact-arithmetic, verdict-table or search invariant failed; the
+    toolkit itself is at fault."""
 
 
 def grlex_key(exponents: ExponentVector) -> tuple[int, ExponentVector]:
@@ -443,53 +449,140 @@ def _univariate_pair(p: Polynomial, q: Polynomial) -> tuple[list[GaussianRationa
     return coeffs_p, coeffs_q
 
 
-def _trim(coeffs: list[GaussianRational]) -> list[GaussianRational]:
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return coeffs
+# Gaussian integers as (re, im) int pairs, for the gcd kernel below.
+GaussianInt = tuple[int, int]
 
 
-def _mod(a: list[GaussianRational], b: list[GaussianRational]) -> list[GaussianRational]:
-    """Remainder of dense univariate division (b nonzero)."""
-    a = list(a)
-    lead_inv = b[-1].inverse()
-    while len(a) >= len(b):
-        factor = a[-1] * lead_inv
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - factor * c
-        _trim(a)
-        if not a:
-            break
-    return a
+def _gmul(x: GaussianInt, y: GaussianInt) -> GaussianInt:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gpow(x: GaussianInt, k: int) -> GaussianInt:
+    out = (1, 0)
+    for _ in range(k):
+        out = _gmul(out, x)
+    return out
+
+
+def _divide_exact(coeffs: list[GaussianInt], y: GaussianInt) -> list[GaussianInt]:
+    """Each coefficient divided by y in Z[i]; a nonzero remainder is a fault."""
+    c, d = y
+    n = c * c + d * d
+    out = []
+    for a, b in coeffs:
+        re, r1 = divmod(a * c + b * d, n)
+        im, r2 = divmod(b * c - a * d, n)
+        if r1 or r2:
+            raise InternalInvariantError(f"{(a, b)} is not divisible by {y} in Z[i]")
+        out.append((re, im))
+    return out
+
+
+def _integral(coeffs: list[GaussianRational]) -> list[GaussianInt]:
+    """The coefficients times the lcm of their denominators."""
+    # A list, not a generator: CPython builds the argument tuple of
+    # ``f(*generator)`` by resizing, and each such tuple stayed on the
+    # interpreter's tuple free lists, which grew the resident set by over a
+    # megabyte across a few thousand calls.
+    m = lcm(*[c.den for c in coeffs])
+    return [(c.re_num * (m // c.den), c.im_num * (m // c.den)) for c in coeffs]
+
+
+def _prem(a: list[GaussianInt], b: list[GaussianInt]) -> list[GaussianInt]:
+    """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a by b, trimmed.
+
+    Dense ascending coefficient lists with nonzero leading coefficients and
+    len(a) >= len(b) >= 2.  Each step scales the remainder by lc(b) and
+    cancels its leading term, so no division is needed.  Coefficients below
+    the window of b are scaled lazily, when the window reaches them, and
+    steps skipped because the degree fell by more than one are paid by one
+    final scaling: a step costs O(deg b), not O(deg a).
+    """
+    r = list(a)
+    m = len(b) - 1
+    lower = b[:m]
+    lead = l_re, l_im = b[m]
+    owed = len(r) - m  # steps left of the deg a - deg b + 1
+    fresh = len(r)  # r[i] for i >= fresh is scaled for every step taken
+    power = (1, 0)  # lc(b)^(steps taken), which r[:fresh] still lacks
+    while len(r) > m:
+        shift = len(r) - 1 - m
+        if power != (1, 0):
+            for i in range(shift, min(fresh, len(r))):
+                r[i] = _gmul(r[i], power)
+        fresh = shift
+        c_re, c_im = r.pop()
+        for i, (b_re, b_im) in enumerate(lower, shift):
+            x_re, x_im = r[i]
+            r[i] = (
+                x_re * l_re - x_im * l_im - c_re * b_re + c_im * b_im,
+                x_re * l_im + x_im * l_re - c_re * b_im - c_im * b_re,
+            )
+        power = _gmul(power, lead)
+        owed -= 1
+        while r and r[-1] == (0, 0):
+            r.pop()
+    if fresh or owed:
+        scale = _gpow(lead, owed)
+        full = _gmul(power, scale)
+        r = [_gmul(x, full if i < fresh else scale) for i, x in enumerate(r)]
+    return r
+
+
+def _subresultant_prs(a: list[GaussianInt], b: list[GaussianInt]) -> list[GaussianInt]:
+    """Last nonzero remainder of the subresultant PRS of a and b over Z[i].
+
+    Collins (J. ACM 14, 1967) and Brown and Traub (J. ACM 18, 1971): with
+    delta = deg a - deg b, the pseudo-remainder of a by b is divisible
+    exactly by g * h^delta, where g = lc(a) and h = g^delta / h^(delta - 1)
+    come from the step before (both are 1 at the first step).  The result is
+    the gcd times a nonzero scalar, and coefficients grow polynomially with
+    no gcd computation.  Both inputs are nonzero with len(a) >= len(b).
+    """
+    g = h = (1, 0)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _divide_exact(r, _gmul(g, _gpow(h, delta)))
+        g = a[-1]
+        if delta:
+            h = _divide_exact([_gpow(g, delta)], _gpow(h, delta - 1))[0]
+    return b
 
 
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd of two univariate polynomials over Q(i).
+    """Monic gcd over Q(i) of two univariate polynomials.
 
-    gcd(0, q) is the monic normalisation of q; gcd(0, 0) is 0.  Nonzero
-    constants behave as units, so any gcd involving one is 1.
+    The kernel clears each input's denominators and runs the subresultant
+    PRS over Z[i] on (re, im) int pairs; only the final remainder is made
+    monic and converted back to Gaussian rationals.  gcd(0, q) is the monic
+    normalisation of q; gcd(0, 0) is 0.  Nonzero constants behave as units,
+    so any gcd involving one is 1.
     """
     coeffs_p, coeffs_q = _univariate_pair(p, q)
-    a, b = list(coeffs_p), list(coeffs_q)
-    while b:
-        # Renormalizing each remainder to monic keeps the coefficient sizes
-        # of the remainder sequence polynomial instead of exponential; the
-        # gcd is only defined up to units, so the result is unchanged.
-        lead_inv = b[-1].inverse()
-        b = [c * lead_inv for c in b]
-        a, b = b, _mod(a, b)
-    if not a:
+    if not coeffs_p and not coeffs_q:
         return Polynomial.zero(p.variables)
-    lead_inv = a[-1].inverse()
-    monic = [c * lead_inv for c in a]
-    var = (p.occurring_variables() or q.occurring_variables() or (None,))[0]
-    if var is None or len(monic) == 1:
-        return Polynomial.constant(p.variables, monic[-1] if len(monic) == 1 else 1)
+    if not coeffs_p or not coeffs_q:
+        last = _integral(coeffs_p or coeffs_q)
+    else:
+        a, b = _integral(coeffs_p), _integral(coeffs_q)
+        if len(a) < len(b):
+            a, b = b, a
+        last = _subresultant_prs(a, b)
+    if len(last) == 1:
+        return Polynomial.constant(p.variables, 1)
+    var = (p.occurring_variables() or q.occurring_variables())[0]
     i = p.variables.index(var)
+    c, d = last[-1]
+    n = c * c + d * d
     terms = {}
-    for e, c in enumerate(monic):
-        if not c.is_zero:
+    for e, (x, y) in enumerate(last):
+        if x or y:
             exps = tuple(e if j == i else 0 for j in range(len(p.variables)))
-            terms[exps] = c
+            # (x + y*i) / (c + d*i) = ((x*c + y*d) + (y*c - x*d)*i) / n
+            terms[exps] = GaussianRational(
+                Fraction(x * c + y * d, n), Fraction(y * c - x * d, n)
+            )
     return Polynomial(p.variables, terms)

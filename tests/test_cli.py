@@ -15,8 +15,10 @@ import pytest
 import rigidity.cli as cli
 import rigidity.families as families
 import rigidity.oracle as oracle
+import rigidity.poly as poly
 from rigidity.cli import main
 from rigidity.derivation import NilpotencyReport
+from rigidity.parsing import MAX_EXPONENT
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -258,6 +260,17 @@ def test_search_hit_failing_reverification_exits_2(monkeypatch, capsys):
     }
 
 
+def test_inexact_gcd_division_exits_2(monkeypatch, capsys):
+    # A pseudo-remainder that g*h^delta does not divide is a fault in the
+    # kernel: the exact division raises instead of truncating.
+    monkeypatch.setattr(poly, "_prem", lambda a, b: [(1, 0), (1, 0)])
+    code = main(["mason", "--polys", "2*S^2 + 1;S^3 - 2*S^2;-S^3 - 1", "--json", "--deterministic"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"]["type"] == "internal_invariant"
+    assert "is not divisible by" in payload["error"]["message"]
+
+
 @pytest.mark.parametrize("as_json", [True, False])
 def test_unexpected_handler_exception_exits_2(monkeypatch, capsys, as_json):
     def broken(*args, **kwargs):
@@ -410,3 +423,69 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# exponent cap
+
+
+def test_exponent_at_the_cap_parses(capsys):
+    argv = ["gr", "--relation", f"X^{MAX_EXPONENT} - Y", "--vars", "X,Y", "--weights", "1,0"]
+    assert MAX_EXPONENT == 10_000
+    assert main(argv + ["--json", "--deterministic"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"]["top_part"] == f"X^{MAX_EXPONENT}"
+
+
+@pytest.mark.parametrize(
+    "argv,column",
+    [
+        (["classify", "--relation", "X^{e} + Y^2 + Z^3"], 3),
+        (["verify-derivation", "--relation", "X*Y - Z^{e}"], 9),
+        (["verify-derivation", "--relation", "X*Y - Z^2", "--image", "X=Y^{e}"], 3),
+        (["gr", "--relation", "X - Y^{e}", "--vars", "X,Y", "--weights", "1,1"], 7),
+        (["mason", "--polys", "S^{e};-S^{e}"], 3),
+        (["mason", "--polys", "S;-S^{e}"], 4),
+        (["param-verify", "--relation", "X^{e} - Y", "--vars", "X,Y"], 3),
+        (["param-verify", "--relation", "X - Y", "--vars", "X,Y", "--sub", "X=S^{e}"], 3),
+        (["search", "--relation", "X^{e} + Y^2", "--max-deg", "1,1"], 3),
+    ],
+)
+@pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 10**11])
+def test_exponent_above_the_cap_is_an_input_error(argv, column, exponent, capsys):
+    argv = [arg.replace("{e}", str(exponent)) for arg in argv]
+    assert main(argv + ["--json", "--deterministic"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"] == argv[0]
+    assert payload["error"]["type"] == "ParseError"
+    assert payload["error"]["message"] == (
+        f"exponent {exponent} exceeds the limit {MAX_EXPONENT} (line 1, column {column})"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the zero-target obstruction certificates hold for coprime entries only
+
+
+def test_doublemason_shape_has_a_non_coprime_solution(capsys):
+    argv = ["search", "--relation", "X^3*Y^3 + 1/2*Z^3 - 3/2*T^3",
+            "--max-deg", "1,1,1,1", "--coeff-window", "1", "--json", "--deterministic"]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["status"] == "Found"
+    assert result["candidates"] == {"X": "-S - 1", "Y": "-1", "Z": "S + 1", "T": "S + 1"}
+    assert main(["obstruct", "--pattern", "doublemason", "--params", "a=3,b=3,c=3,d=3",
+                 "--json", "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["status"] == "Obstructed"
+
+
+def test_ex1_shape_has_a_non_coprime_solution(capsys):
+    argv = ["param-verify", "--relation", "X^2 + Y^3 + Z^7",
+            "--sub", "X=3*S^21", "--sub", "Y=-2*S^14", "--sub", "Z=-S^6", "--json", "--deterministic"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "constraint": "zero", "ok": True, "residual": "0",
+    }
+    assert main(["obstruct", "--pattern", "ex1", "--params", "d1=2,d2=3,d3=7",
+                 "--json", "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["status"] == "Obstructed"

@@ -15,6 +15,7 @@ from rigidity import (
     mason_check,
     obstruction_check,
 )
+import rigidity.mason as mason_module
 from rigidity.mason import MAX_TUPLE_LENGTH
 from rigidity.poly import NotUnivariateError
 
@@ -123,6 +124,27 @@ def test_mason_check_proper_subset_violation():
     report = mason_check([S, -S, S**2, -(S**2)])
     assert not report.hypotheses_ok
     assert "(1, 2)" in report.violation
+
+
+def test_mason_check_gcd_fold_stops_at_a_constant(monkeypatch):
+    calls = []
+    real_gcd = mason_module.gcd_univariate
+
+    def counting_gcd(p, q):
+        calls.append((p, q))
+        return real_gcd(p, q)
+
+    monkeypatch.setattr(mason_module, "gcd_univariate", counting_gcd)
+    # A coprime triple: one gcd for the only zero-sum subset, then one per
+    # root count (three entries and their product).
+    report = mason_check([S**3 + 2, -(S**3) + S, -S - 2])
+    assert report.hypotheses_ok
+    assert len(calls) == 1 + 4
+    calls.clear()
+    # gcd(S, S^2) = S is not constant, so the fold goes on to the third entry.
+    report = mason_check([S, S**2, -S - S**2])
+    assert report.violation == "zero-sum subset (1, 2, 3) has nonconstant gcd of degree 1"
+    assert len(calls) == 2 + 4
 
 
 def test_mason_inequalities_hold_on_random_coprime_triples():

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from rigidity import (
+    InternalInvariantError,
     NotDivisibleError,
     Polynomial,
     UnknownVariableError,
@@ -14,6 +15,7 @@ from rigidity import (
     gens,
 )
 from rigidity.gauss import GaussianRational, gq
+import rigidity.poly as poly_module
 from rigidity.poly import MINUS_INF, grlex_key, monomial_divides
 
 from helpers import nonzero_random_poly, random_poly, to_sympy
@@ -311,3 +313,92 @@ def test_gcd_recovers_common_factor():
         # the planted factor divides the gcd, and the gcd divides both inputs
         assert common.divides(g)
         assert g.divides(common * a) and g.divides(common * b)
+
+
+def _sympy_monic_gcd(p: Polynomial, q: Polynomial):
+    sym = sympy.Symbol("S")
+    g = sympy.gcd(
+        sympy.Poly(to_sympy(p), sym, domain="QQ_I"),
+        sympy.Poly(to_sympy(q), sym, domain="QQ_I"),
+    )
+    return g.monic().as_expr()
+
+
+def test_gcd_matches_sympy_over_gaussian_rationals():
+    # Gaussian coefficients with denominators 2 and 3, planted common
+    # factors, products up to degree ~40, and (h, h') pairs with repeated
+    # roots as distinct_root_count builds them.
+    rng = random.Random(1967)
+    S, = gens("S")
+    for trial in range(90):
+        common = nonzero_random_poly(rng, ("S",), max_terms=4, max_exp=rng.randint(0, 14))
+        a = nonzero_random_poly(rng, ("S",), max_terms=5, max_exp=rng.randint(0, 25))
+        if trial % 3 == 0:
+            p = common ** 2 * a
+            q = p.diff("S")
+        else:
+            b = nonzero_random_poly(rng, ("S",), max_terms=5, max_exp=rng.randint(0, 25))
+            p, q = common * a, common * b
+        ours = gcd_univariate(p, q)
+        assert ours.is_zero or ours.leading_term()[1] == gq(1)
+        assert sympy.expand(to_sympy(ours) - _sympy_monic_gcd(p, q)) == 0, (p, q)
+        assert gcd_univariate(q, p) == ours
+
+
+def test_gcd_with_zero_and_constant_arguments():
+    S, = gens("S")
+    zero = Polynomial.zero(("S",))
+    one = Polynomial.constant(("S",), 1)
+    q = gq(2, 3) * S**3 + gq(Fraction(1, 2)) * S - gq(0, 5)
+    monic_q = q * (gq(2, 3) ** -1)
+    assert gcd_univariate(zero, q) == monic_q
+    assert gcd_univariate(q, zero) == monic_q
+    assert gcd_univariate(zero, zero).is_zero
+    assert gcd_univariate(zero, Polynomial.constant(("S",), gq(0, Fraction(-2, 3)))) == one
+    assert gcd_univariate(Polynomial.constant(("S",), gq(Fraction(1, 3), 4)), q) == one
+    assert gcd_univariate(q, Polynomial.constant(("S",), 7)) == one
+    assert gcd_univariate(Polynomial.constant(("S",), 2), one) == one
+
+
+def test_gcd_degree_gap_of_two_or_more_updates_h(monkeypatch):
+    # The first pseudo-division has deg p - deg q >= 2 and later ones follow,
+    # so h = g^delta / h^(delta-1) with delta >= 2 sets the next divisor.
+    # Every divided remainder must be the subresultant sympy computes, up to
+    # sign: a smaller h still divides exactly but leaves larger remainders.
+    S, = gens("S")
+    sym = sympy.Symbol("S")
+    divisors = []
+    real_prem = poly_module._prem
+
+    def recording_prem(a, b):
+        divisors.append(b)
+        return real_prem(a, b)
+
+    monkeypatch.setattr(poly_module, "_prem", recording_prem)
+    common = S - gq(2, 1)
+    cases = [
+        (gq(3) * S**6 + S + gq(0, 2), gq(5) * S**3 + gq(4, -2)),
+        (gq(2, 1) * S**9 - gq(3) * S**2 + 1, gq(0, 3) * S**4 + gq(4) * S + gq(1, 1)),
+    ]
+    for a, b in cases:
+        divisors.clear()
+        p, q = common * a, common * b
+        assert p.degree_in("S") - q.degree_in("S") >= 2
+        assert gcd_univariate(p, q) == common
+        assert len(divisors) >= 2
+        chain = sympy.subresultants(
+            sympy.Poly(to_sympy(p), sym, domain="ZZ_I"),
+            sympy.Poly(to_sympy(q), sym, domain="ZZ_I"),
+        )
+        for k, divisor in enumerate(divisors[1:], 2):
+            ours = sum((re + sympy.I * im) * sym**e for e, (re, im) in enumerate(divisor))
+            theirs = chain[k].as_expr()
+            assert sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0
+
+
+def test_gcd_exact_division_refuses_a_remainder():
+    assert poly_module._divide_exact([(5, 0), (0, 10)], (2, 1)) == [(2, -1), (2, 4)]
+    with pytest.raises(InternalInvariantError):
+        poly_module._divide_exact([(1, 0)], (1, 1))
+    with pytest.raises(InternalInvariantError):
+        poly_module._divide_exact([(4, 0), (3, 0)], (2, 0))
