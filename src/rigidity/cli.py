@@ -101,6 +101,11 @@ def _infer_variables(relation_text: str) -> tuple[str, ...]:
     return DEFAULT_VARIABLES[:arity]
 
 
+def _parse(text: str, variables: Sequence[str]) -> Polynomial:
+    """Every polynomial given on the command line, with its exponents capped."""
+    return parse_poly(text, variables, max_exponent=MAX_EXPONENT)
+
+
 def _resolve_variables(args: argparse.Namespace) -> tuple[str, ...]:
     if args.vars is not None:
         names = tuple(_split_csv(args.vars, "--vars"))
@@ -154,7 +159,7 @@ def _witness_payload(witness: Derivation) -> dict[str, str]:
 
 def cmd_classify(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
-    relation = parse_poly(args.relation, variables, max_exponent=MAX_EXPONENT)
+    relation = _parse(args.relation, variables)
     descriptor = recognize_family(relation)
     verdict = classify(descriptor)
     result = {
@@ -178,11 +183,11 @@ def cmd_classify(args: argparse.Namespace) -> dict:
 
 def cmd_verify_derivation(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
-    relation = parse_poly(args.relation, variables, max_exponent=MAX_EXPONENT)
+    relation = _parse(args.relation, variables)
     presentation = RingPresentation(variables, relation)
     assignments = _parse_assignments(args.image or (), variables, "--image")
     images = [
-        parse_poly(assignments[v], variables, max_exponent=MAX_EXPONENT)
+        _parse(assignments[v], variables)
         if v in assignments
         else Polynomial.zero(variables)
         for v in variables
@@ -214,7 +219,7 @@ def cmd_verify_derivation(args: argparse.Namespace) -> dict:
 
 def cmd_gr(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
-    relation = parse_poly(args.relation, variables, max_exponent=MAX_EXPONENT)
+    relation = _parse(args.relation, variables)
     presentation = RingPresentation(variables, relation)
     weights = _parse_int_list(args.weights, "--weights")
     graded = gr_presentation(presentation, weights)
@@ -232,7 +237,7 @@ def cmd_mason(args: argparse.Namespace) -> dict:
     pieces = [piece.strip() for piece in args.polys.split(";")]
     if any(not piece for piece in pieces):
         raise CliInputError(f"--polys expects 'p1;p2;...', got {args.polys!r}")
-    polys = [parse_poly(piece, (args.var,), max_exponent=MAX_EXPONENT) for piece in pieces]
+    polys = [_parse(piece, (args.var,)) for piece in pieces]
     report = mason_check(polys)
     return {
         "hypotheses_ok": report.hypotheses_ok,
@@ -264,12 +269,12 @@ def cmd_obstruct(args: argparse.Namespace) -> dict:
 
 def cmd_param_verify(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
-    relation = parse_poly(args.relation, variables, max_exponent=MAX_EXPONENT)
+    relation = _parse(args.relation, variables)
     problem = ParametrizationProblem(relation, args.constraint)
     assignments = _parse_assignments(args.sub or (), variables, "--sub")
     parameter = (args.param_var,)
     candidates = [
-        parse_poly(assignments[v], parameter, max_exponent=MAX_EXPONENT)
+        _parse(assignments[v], parameter)
         if v in assignments
         else Polynomial.zero(parameter)
         for v in variables
@@ -284,7 +289,7 @@ def cmd_param_verify(args: argparse.Namespace) -> dict:
 
 def cmd_search(args: argparse.Namespace) -> dict:
     variables = _resolve_variables(args)
-    relation = parse_poly(args.relation, variables, max_exponent=MAX_EXPONENT)
+    relation = _parse(args.relation, variables)
     bounds = _parse_int_list(args.max_deg, "--max-deg")
     if len(bounds) != len(variables):
         raise CliInputError(

@@ -38,7 +38,7 @@ from .mason import (
     check_mini_mason,
     check_twisted_mason,
 )
-from .poly import InternalInvariantError, Polynomial
+from .poly import GaussianInt, InternalInvariantError, Polynomial, gaussian_pow
 
 HOMOGENEOUS_ZERO = "zero"
 UNIT_TARGET = "unit"
@@ -195,24 +195,13 @@ _FILTER_POINTS = (7, 11)
 # for the whole search; a larger one is enumerated again on every visit.
 _TABLE_CAP = 4096
 
-_Pair = tuple[int, int]
 
-
-def _value_at(vector: tuple[_Pair, ...], x: int) -> _Pair:
+def _value_at(vector: tuple[GaussianInt, ...], x: int) -> GaussianInt:
     """The Gaussian-integer value at the integer x of a coefficient vector
     (constant term first), by Horner's rule."""
     re = im = 0
     for cr, ci in reversed(vector):
         re, im = re * x + cr, im * x + ci
-    return re, im
-
-
-def _pair_pow(z: _Pair, e: int) -> _Pair:
-    """The Gaussian integer z raised to the exponent e >= 0."""
-    a, b = z
-    re, im = 1, 0
-    for _ in range(e):
-        re, im = re * a - im * b, re * b + im * a
     return re, im
 
 
@@ -303,7 +292,7 @@ def bounded_search(
             yield (
                 vector,
                 vector[1:] != zero[1:],
-                tuple(_pair_pow(_value_at(vector, x), e) for x, e in level_slots),
+                tuple(gaussian_pow(_value_at(vector, x), e) for x, e in level_slots),
             )
 
     # The outermost level is visited once; an inner one is cached if small.
@@ -312,7 +301,7 @@ def bounded_search(
         for i, d in enumerate(bounds)
     ]
 
-    def exact(chosen: list[tuple[_Pair, ...]]) -> bool:
+    def exact(chosen: list[tuple[GaussianInt, ...]]) -> bool:
         """Decide the tuple from its values at the deg + 1 points 0..deg."""
         totals = []
         for x in range(deg + 1):
@@ -321,7 +310,7 @@ def bounded_search(
             for exps, (re, im) in terms:
                 for z, e in zip(at, exps):
                     if e:
-                        vr, vi = _pair_pow(z, e)
+                        vr, vi = gaussian_pow(z, e)
                         re, im = re * vr - im * vi, re * vi + im * vr
                 total_re += re
                 total_im += im
@@ -330,11 +319,11 @@ def bounded_search(
             return all(t == (0, 0) for t in totals)
         return totals[0] != (0, 0) and all(t == totals[0] for t in totals)
 
-    chosen: list[tuple[_Pair, ...]] = [()] * n
+    chosen: list[tuple[GaussianInt, ...]] = [()] * n
     examined = 0
     last = n - 1
 
-    def leaves(partials: list[_Pair], nonconstant_seen: bool) -> bool:
+    def leaves(partials: list[GaussianInt], nonconstant_seen: bool) -> bool:
         """Run the last level against fixed partials: sum the slots it
         leaves alone once, then add each row's products."""
         nonlocal examined
@@ -364,7 +353,7 @@ def bounded_search(
                 return True
         return False
 
-    def descend(i: int, partials: list[_Pair], nonconstant_seen: bool) -> bool:
+    def descend(i: int, partials: list[GaussianInt], nonconstant_seen: bool) -> bool:
         if i == last:
             return leaves(partials, nonconstant_seen)
         level = tables[i] if tables[i] is not None else rows(i)

@@ -449,19 +449,26 @@ def _univariate_pair(p: Polynomial, q: Polynomial) -> tuple[list[GaussianRationa
     return coeffs_p, coeffs_q
 
 
-# Gaussian integers as (re, im) int pairs, for the gcd kernel below.
+# Gaussian integers as (re, im) int pairs: the gcd kernel below works on
+# them, and so does the search oracle's leaf evaluation.
 GaussianInt = tuple[int, int]
 
 
-def _gmul(x: GaussianInt, y: GaussianInt) -> GaussianInt:
+def gaussian_mul(x: GaussianInt, y: GaussianInt) -> GaussianInt:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _gpow(x: GaussianInt, k: int) -> GaussianInt:
-    out = (1, 0)
-    for _ in range(k):
-        out = _gmul(out, x)
-    return out
+def gaussian_pow(z: GaussianInt, e: int) -> GaussianInt:
+    """The Gaussian integer z raised to the exponent e >= 0, by squaring."""
+    a, b = z
+    re, im = 1, 0
+    while e:
+        if e & 1:
+            re, im = re * a - im * b, re * b + im * a
+        e >>= 1
+        if e:
+            a, b = a * a - b * b, 2 * a * b
+    return re, im
 
 
 def _divide_exact(coeffs: list[GaussianInt], y: GaussianInt) -> list[GaussianInt]:
@@ -492,72 +499,120 @@ def _prem(a: list[GaussianInt], b: list[GaussianInt]) -> list[GaussianInt]:
     """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a by b, trimmed.
 
     Dense ascending coefficient lists with nonzero leading coefficients and
-    len(a) >= len(b) >= 2.  Each step scales the remainder by lc(b) and
-    cancels its leading term, so no division is needed.  Coefficients below
-    the window of b are scaled lazily, when the window reaches them, and
-    steps skipped because the degree fell by more than one are paid by one
-    final scaling: a step costs O(deg b), not O(deg a).
+    len(a) >= len(b) >= 2.  Each step multiplies the remainder by lc(b) and
+    cancels its leading term; steps skipped because the degree fell by more
+    than one are paid by one final scaling.
     """
     r = list(a)
     m = len(b) - 1
     lower = b[:m]
     lead = l_re, l_im = b[m]
     owed = len(r) - m  # steps left of the deg a - deg b + 1
-    fresh = len(r)  # r[i] for i >= fresh is scaled for every step taken
-    power = (1, 0)  # lc(b)^(steps taken), which r[:fresh] still lacks
     while len(r) > m:
-        shift = len(r) - 1 - m
-        if power != (1, 0):
-            for i in range(shift, min(fresh, len(r))):
-                r[i] = _gmul(r[i], power)
-        fresh = shift
         c_re, c_im = r.pop()
-        for i, (b_re, b_im) in enumerate(lower, shift):
+        r = [(x * l_re - y * l_im, x * l_im + y * l_re) for x, y in r]
+        for i, (b_re, b_im) in enumerate(lower, len(r) - m):
             x_re, x_im = r[i]
-            r[i] = (
-                x_re * l_re - x_im * l_im - c_re * b_re + c_im * b_im,
-                x_re * l_im + x_im * l_re - c_re * b_im - c_im * b_re,
-            )
-        power = _gmul(power, lead)
+            r[i] = (x_re - c_re * b_re + c_im * b_im, x_im - c_re * b_im - c_im * b_re)
         owed -= 1
         while r and r[-1] == (0, 0):
             r.pop()
-    if fresh or owed:
-        scale = _gpow(lead, owed)
-        full = _gmul(power, scale)
-        r = [_gmul(x, full if i < fresh else scale) for i, x in enumerate(r)]
+    if owed:
+        scale = gaussian_pow(lead, owed)
+        r = [gaussian_mul(x, scale) for x in r]
     return r
 
 
-def _subresultant_prs(a: list[GaussianInt], b: list[GaussianInt]) -> list[GaussianInt]:
-    """Last nonzero remainder of the subresultant PRS of a and b over Z[i].
+def _similar_regular(b: list[GaussianInt], s: GaussianInt, delta: int) -> list[GaussianInt]:
+    """lc(b)^(delta-1) * b / s^(delta-1), the regular chain member similar to b.
 
-    Collins (J. ACM 14, 1967) and Brown and Traub (J. ACM 18, 1971): with
-    delta = deg a - deg b, the pseudo-remainder of a by b is divisible
-    exactly by g * h^delta, where g = lc(a) and h = g^delta / h^(delta - 1)
-    come from the step before (both are 1 at the first step).  The result is
-    the gcd times a nonzero scalar, and coefficients grow polynomially with
-    no gcd computation.  Both inputs are nonzero with len(a) >= len(b).
+    Lazard's form: the scalar lc(b)^(k+1) / s^k is carried up one exact
+    division at a time, so no intermediate outgrows the result.
     """
-    g = h = (1, 0)
+    if delta == 1:
+        return b
+    lead = x = b[-1]
+    for _ in range(delta - 2):
+        x = _divide_exact([gaussian_mul(x, lead)], s)[0]
+    return _divide_exact([gaussian_mul(x, y) for y in b], s)
+
+
+def _next_subresultant(
+    a: list[GaussianInt], b: list[GaussianInt], c: list[GaussianInt], s: GaussianInt
+) -> list[GaussianInt]:
+    """The chain member after c, up to sign, trimmed.
+
+    a is similar to the regular member S_d, s is its principal coefficient,
+    b = S_(d-1) has degree e < d and c = S_e is similar to b.  Ducos
+    (J. Pure Appl. Algebra 145, 2000): G_e = c - lc(c)*X^e and
+    G_j = X*G_(j-1) - t*b/lc(b), with t the X^e coefficient of X*G_(j-1),
+    are -lc(c)*X^j reduced modulo b, of degree below e and divided exactly.
+    Then, below X^e,
+    a_d*s*S_(e-1) = lc(b)*(lc(c)*sum_(j<e) a_j*X^j - sum_(e<=j<d) a_j*G_j)
+                    - a_d*(lc(b)*X*G_(d-1) - t*b).
+    Unlike the pseudo-remainder of a by b, nothing is multiplied by
+    lc(b)^(d-e+1), so a large degree gap builds no oversized numbers.
+    """
+    e, d = len(b) - 1, len(a) - 1
+    lb = b[e]
+    lower = b[:e]
+    g = c[:e]
+    f_re, f_im = gaussian_mul(lb, c[e])
+    k_re, k_im = gaussian_mul(lb, a[e])
+    acc = [
+        (x * f_re - y * f_im - k_re * p + k_im * q, x * f_im + y * f_re - k_re * q - k_im * p)
+        for (x, y), (p, q) in zip(a, g)
+    ]
+    for j in range(e + 1, d):
+        t_re, t_im = g[-1]
+        tb = _divide_exact([(t_re * p - t_im * q, t_re * q + t_im * p) for p, q in lower], lb)
+        g = [(x - p, y - q) for (x, y), (p, q) in zip([(0, 0)] + g[:-1], tb)]
+        k_re, k_im = gaussian_mul(lb, a[j])
+        acc = [
+            (u - k_re * x + k_im * y, v - k_re * y - k_im * x) for (u, v), (x, y) in zip(acc, g)
+        ]
+    ad = a[d]
+    m_re, m_im = gaussian_mul(ad, lb)
+    k_re, k_im = gaussian_mul(ad, g[-1])
+    out = [
+        (u - m_re * x + m_im * y + k_re * p - k_im * q, v - m_re * y - m_im * x + k_re * q + k_im * p)
+        for (u, v), (x, y), (p, q) in zip(acc, [(0, 0)] + g[:-1], lower)
+    ]
+    out = _divide_exact(out, gaussian_mul(ad, s))
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def _subresultant_prs(p: list[GaussianInt], q: list[GaussianInt]) -> list[GaussianInt]:
+    """Last nonzero member of the subresultant chain of p and q over Z[i].
+
+    Collins (J. ACM 14, 1967), Brown and Traub (J. ACM 18, 1971), with
+    Lazard's and Ducos's forms of the step after a degree gap.  The result
+    is the gcd times a nonzero scalar; every exact division is checked and
+    coefficients stay the size of chain members, with no gcd computation.
+    Both inputs are nonzero with len(p) >= len(q).
+    """
+    if len(q) == 1:
+        return q
+    # The member after q is the pseudo-remainder of p by q, divided by
+    # nothing.  s = lc(q)^(deg p - deg q) is the principal coefficient of
+    # the regular member similar to q, and 1 when the degrees are equal.
+    s = gaussian_pow(q[-1], len(p) - len(q))
+    a, b = q, _prem(p, q)
     while len(b) > 1:
-        delta = len(a) - len(b)
-        r = _prem(a, b)
-        if not r:
-            return b
-        a, b = b, _divide_exact(r, _gmul(g, _gpow(h, delta)))
-        g = a[-1]
-        if delta:
-            h = _divide_exact([_gpow(g, delta)], _gpow(h, delta - 1))[0]
-    return b
+        c = _similar_regular(b, s, len(a) - len(b))
+        a, b, s = c, _next_subresultant(a, b, c, s), c[-1]
+    return b or a
 
 
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd over Q(i) of two univariate polynomials.
 
     The kernel clears each input's denominators and runs the subresultant
-    PRS over Z[i] on (re, im) int pairs; only the final remainder is made
-    monic and converted back to Gaussian rationals.  gcd(0, q) is the monic
+    PRS over Z[i] on (re, im) int pairs, with Lazard's and Ducos's steps
+    after a degree gap; only the final remainder is made monic and
+    converted back to Gaussian rationals.  gcd(0, q) is the monic
     normalisation of q; gcd(0, 0) is 0.  Nonzero constants behave as units,
     so any gcd involving one is 1.
     """

@@ -261,8 +261,8 @@ def test_search_hit_failing_reverification_exits_2(monkeypatch, capsys):
 
 
 def test_inexact_gcd_division_exits_2(monkeypatch, capsys):
-    # A pseudo-remainder that g*h^delta does not divide is a fault in the
-    # kernel: the exact division raises instead of truncating.
+    # A first remainder that is not a chain member makes a later exact
+    # division fail: the kernel raises instead of truncating.
     monkeypatch.setattr(poly, "_prem", lambda a, b: [(1, 0), (1, 0)])
     code = main(["mason", "--polys", "2*S^2 + 1;S^3 - 2*S^2;-S^3 - 1", "--json", "--deterministic"])
     payload = json.loads(capsys.readouterr().out)

@@ -360,40 +360,85 @@ def test_gcd_with_zero_and_constant_arguments():
     assert gcd_univariate(Polynomial.constant(("S",), 2), one) == one
 
 
-def test_gcd_degree_gap_of_two_or_more_updates_h(monkeypatch):
-    # The first pseudo-division has deg p - deg q >= 2 and later ones follow,
-    # so h = g^delta / h^(delta-1) with delta >= 2 sets the next divisor.
-    # Every divided remainder must be the subresultant sympy computes, up to
-    # sign: a smaller h still divides exactly but leaves larger remainders.
+def test_gcd_chain_across_degree_gaps_matches_sympy(monkeypatch):
+    # Remainders that drop two or more degrees send the kernel through
+    # Lazard's similar member and Ducos's reduction loop; equal input
+    # degrees start the chain with a gap of 0.  Every member computed must
+    # be the subresultant sympy computes, up to sign: a wrong step either
+    # raises on an inexact division or leaves other members.
     S, = gens("S")
     sym = sympy.Symbol("S")
-    divisors = []
+    gaps, members = [], []
+    real_similar = poly_module._similar_regular
+    real_next = poly_module._next_subresultant
     real_prem = poly_module._prem
 
-    def recording_prem(a, b):
-        divisors.append(b)
-        return real_prem(a, b)
+    def similar(b, s, delta):
+        gaps.append(delta)
+        return real_similar(b, s, delta)
 
-    monkeypatch.setattr(poly_module, "_prem", recording_prem)
+    def next_member(a, b, c, s):
+        members.append(real_next(a, b, c, s))
+        return members[-1]
+
+    def prem(a, b):
+        members.append(real_prem(a, b))
+        return members[-1]
+
+    monkeypatch.setattr(poly_module, "_similar_regular", similar)
+    monkeypatch.setattr(poly_module, "_next_subresultant", next_member)
+    monkeypatch.setattr(poly_module, "_prem", prem)
     common = S - gq(2, 1)
     cases = [
         (gq(3) * S**6 + S + gq(0, 2), gq(5) * S**3 + gq(4, -2)),
-        (gq(2, 1) * S**9 - gq(3) * S**2 + 1, gq(0, 3) * S**4 + gq(4) * S + gq(1, 1)),
+        (S**12 + gq(2) * S + 1, gq(1, 1) * S**7 - gq(0, 3) * S + 2),
+        (gq(2) * S**15 - S**3 + gq(1, 1), S**11 + gq(0, 2) * S**2 - 1),
+        (S**5 + gq(2) * S**4 + S, S**5 - gq(0, 1) * S**3 + gq(3)),
     ]
+    seen = []
     for a, b in cases:
-        divisors.clear()
+        gaps.clear()
+        members.clear()
         p, q = common * a, common * b
-        assert p.degree_in("S") - q.degree_in("S") >= 2
         assert gcd_univariate(p, q) == common
-        assert len(divisors) >= 2
         chain = sympy.subresultants(
             sympy.Poly(to_sympy(p), sym, domain="ZZ_I"),
             sympy.Poly(to_sympy(q), sym, domain="ZZ_I"),
         )
-        for k, divisor in enumerate(divisors[1:], 2):
-            ours = sum((re + sympy.I * im) * sym**e for e, (re, im) in enumerate(divisor))
-            theirs = chain[k].as_expr()
+        assert members[-1] == [] and len(members) == len(chain) - 1
+        for member, theirs in zip(members, chain[2:]):
+            ours = sum((re + sympy.I * im) * sym**e for e, (re, im) in enumerate(member))
+            theirs = theirs.as_expr()
             assert sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0
+        seen += gaps
+    assert max(seen) == 5 and 2 in seen
+
+
+def test_gcd_after_a_large_degree_gap_keeps_numbers_small(monkeypatch):
+    # The root count of mason "S^200 + 2*S + 1;-S^200 - S;-S - 1" meets a
+    # chain step from degree 200 to 6.  The pseudo-remainder of that step multiplies by lc^195 and made
+    # divisors of about 361,000 bits; the chain members themselves need
+    # under 7,000.
+    largest = []
+    real_divide = poly_module._divide_exact
+
+    def divide(coeffs, y):
+        largest.append(max(abs(y[0]), abs(y[1])).bit_length())
+        return real_divide(coeffs, y)
+
+    monkeypatch.setattr(poly_module, "_divide_exact", divide)
+    S, = gens("S")
+    h = (S**200 + 2 * S + 1) * (S**200 + S) * (S + 1)
+    assert gcd_univariate(h, h.diff("S")) == (S + 1) ** 2
+    assert max(largest) < 10_000
+
+
+def test_gaussian_pow_matches_repeated_multiplication():
+    for z in [(0, 0), (1, 0), (0, 1), (2, -3), (-5, 7)]:
+        power = (1, 0)
+        for e in range(20):
+            assert poly_module.gaussian_pow(z, e) == power
+            power = poly_module.gaussian_mul(power, z)
 
 
 def test_gcd_exact_division_refuses_a_remainder():
