@@ -8,9 +8,14 @@ a descriptor to a :class:`Verdict` via a fixed rule table.
 Every NotRigid verdict ships with a machine-checked witness: the catalog
 derivation is rebuilt on the actual presentation, validated as well-defined
 and nonzero, and certified nilpotent by iteration before the verdict is
-returned.  A verdict of Unknown is deliberate: the rule table never
-extrapolates beyond the results it encodes, and the open exponent patterns
-must stay open.
+returned.  Apart from a free coordinate and the even twist, each witness
+comes from the relation's partial derivatives by one of two constructions:
+the triangular derivation f_j*d/dk - f_k*d/dj for a variable j of degree 1,
+and the two-squares derivation for c*u^2 + c*v^2 + (terms in w).  The only
+witness that Q(i) may lack, a square root of a coefficient ratio, is
+reported by one helper.  A verdict of Unknown is deliberate: the rule table
+never extrapolates beyond the results it encodes, and the open exponent
+patterns must stay open.
 
 Citations are stable strings (golden-tested); rigidity citations name the
 theorem tag that justifies the rule.
@@ -551,35 +556,28 @@ def classify(descriptor: FamilyDescriptor) -> Verdict:
     if descriptor.kind == DANIELEWSKI_LIKE:
         return _classify_danielewski(descriptor)
     if descriptor.kind == UNRECOGNIZED:
-        return Verdict(
-            status=OUT_OF_SCOPE,
-            citation=CITE_OUT_OF_SCOPE,
-            witness=None,
-            notes=descriptor.notes or ("unrecognized relation shape",),
-        )
+        return _verdict(descriptor, OUT_OF_SCOPE, CITE_OUT_OF_SCOPE)
     raise ValueError(f"unknown family kind {descriptor.kind!r}")
 
 
+def _verdict(desc: FamilyDescriptor, status: str, citation: str, *notes: str) -> Verdict:
+    """A verdict without a witness; the descriptor's notes come first."""
+    return Verdict(status=status, citation=citation, witness=None, notes=(*desc.notes, *notes))
+
+
 def _verdict_with_witness(
-    descriptor: FamilyDescriptor,
-    citation: str,
-    images: Optional[Mapping[str, Polynomial]],
-    rule_notes: Sequence[str],
+    desc: FamilyDescriptor, citation: str, images: Mapping[str, Polynomial], note: str
 ) -> Verdict:
-    notes = tuple(descriptor.notes) + tuple(rule_notes)
-    if images is None:
-        return Verdict(status=NOT_RIGID, citation=citation, witness=None, notes=notes)
-    if descriptor.relation is None:
+    """Build the witness on the descriptor's presentation (variables without
+    an image map to 0), check that it is nonzero and certify it nilpotent."""
+    if desc.relation is None:
         raise InternalInvariantError("witness requested for an unpresentable relation")
-    presentation = RingPresentation(descriptor.variables, descriptor.relation)
-    image_list = [
-        images.get(v, Polynomial.zero(descriptor.variables))
-        for v in descriptor.variables
-    ]
+    presentation = RingPresentation(desc.variables, desc.relation)
+    image_list = [images.get(v, Polynomial.zero(desc.variables)) for v in desc.variables]
     witness = make_derivation(presentation, image_list)
     if witness.is_zero:
         raise InternalInvariantError("catalog witness is the zero derivation")
-    bound = max(DEFAULT_PROBE_BOUND, max(descriptor.exponents, default=0) + 2)
+    bound = max(DEFAULT_PROBE_BOUND, max(desc.exponents, default=0) + 2)
     report = probe_nilpotency(witness, bound=bound)
     if not report.certified:
         raise InternalInvariantError(
@@ -589,104 +587,112 @@ def _verdict_with_witness(
         status=NOT_RIGID,
         citation=citation,
         witness=witness,
-        notes=notes,
+        notes=(*desc.notes, note),
         witness_report=report,
+    )
+
+
+def _triangular(desc: FamilyDescriptor, j: str, k: str, note: str) -> Verdict:
+    """The Jacobian derivation f_j*d/dk - f_k*d/dj, divided by f_j when that
+    is a nonzero constant.
+
+    It kills f for any j and k.  Every caller passes a j in which f has
+    degree 1 with f_j free of k, so D(k) = f_j lies in the kernel and D is
+    triangular, hence locally nilpotent.
+    """
+    f = desc.relation
+    fj, fk = f.diff(j), f.diff(k)
+    if fj.is_constant:
+        images = {k: Polynomial.constant(f.variables, 1), j: -fk * fj.constant_value().inverse()}
+    else:
+        images = {k: fj, j: -fk}
+    return _verdict_with_witness(desc, CITE_TRIANGULAR, images, note)
+
+
+def _two_squares(
+    desc: FamilyDescriptor, citation: str, u: str, v: str, w: str,
+    cu: GaussianRational, cv: GaussianRational, note: str,
+) -> Verdict:
+    """D(u) = -F, D(v) = -i*F, D(w) = u + i*v with F = f_w/(2*cu), for a
+    relation cu*u^2 + cv*v^2 + (terms free of u and v).
+
+    When cu = cv, D kills f and u + i*v, and D(u - i*v) = -2*F involves
+    only w and the kernel, so D is triangular in u + i*v, w, u - i*v.  When
+    cu != cv the witness needs a square root of cv/cu and is withheld.
+    """
+    if cu != cv:
+        return _withheld(desc, citation, note, cv / cu)
+    f = desc.relation
+    big_f = f.diff(w) * (cu * 2).inverse()
+    images = {
+        u: -big_f,
+        v: big_f * GaussianRational(0, -1),
+        w: Polynomial.variable(f.variables, u) + _mono(f.variables, GaussianRational(0, 1), {v: 1}),
+    }
+    return _verdict_with_witness(desc, citation, images, note)
+
+
+def _withheld(
+    desc: FamilyDescriptor, citation: str, prefix: str, ratio: GaussianRational
+) -> Verdict:
+    """NotRigid without a witness: the catalog witness needs sqrt(ratio)."""
+    return _verdict(
+        desc,
+        NOT_RIGID,
+        citation,
+        f"{prefix}, but the catalog witness needs a square root of the coefficient"
+        f" ratio {ratio}, which is not available in Q(i) in general",
     )
 
 
 def _classify_three_term(d: FamilyDescriptor) -> Verdict:
     a, b, c = d.exponents
-    variables = d.variables
     x, y, z = d.roles
-    alpha, beta = d.coefficients
     if d.relation is None:
-        return Verdict(
-            status=NOT_RIGID,
-            citation=CITE_DEGENERATE,
-            witness=None,
-            notes=tuple(d.notes)
-            + (
-                "all exponents are zero, so the relation collapses to a constant;"
-                " the quotient is a full polynomial ring and every coordinate"
-                " derivation is a nonzero locally nilpotent derivation, but no"
-                " presentation exists to attach a witness to",
-            ),
+        return _verdict(
+            d,
+            NOT_RIGID,
+            CITE_DEGENERATE,
+            "all exponents are zero, so the relation collapses to a constant;"
+            " the quotient is a full polynomial ring and every coordinate"
+            " derivation is a nonzero locally nilpotent derivation, but no"
+            " presentation exists to attach a witness to",
         )
     if 0 in d.exponents:
         free = [role for role, e in zip(d.roles, d.exponents) if e == 0]
-        images = {free[0]: Polynomial.constant(variables, 1)}
+        images = {free[0]: Polynomial.constant(d.variables, 1)}
         return _verdict_with_witness(
-            d,
-            CITE_FREE_COORDINATE,
-            images,
-            (f"exponent 0 leaves {free[0]} out of the relation",),
+            d, CITE_FREE_COORDINATE, images, f"exponent 0 leaves {free[0]} out of the relation"
         )
     if a == 1:
-        images = {
-            x: _mono(variables, -(beta * c), {z: c - 1}),
-            z: _mono(variables, alpha, {y: b}),
-        }
-        return _verdict_with_witness(d, CITE_TRIANGULAR, images, ("a = 1",))
+        return _triangular(d, x, z, "a = 1")
     if b == 1:
-        images = {
-            y: _mono(variables, -(beta * c), {z: c - 1}),
-            z: _mono(variables, alpha, {x: a}),
-        }
-        return _verdict_with_witness(d, CITE_TRIANGULAR, images, ("b = 1",))
+        return _triangular(d, y, z, "b = 1")
     if c == 1:
-        images = {
-            x: Polynomial.constant(variables, 1),
-            z: _mono(variables, -(alpha * a) / beta, {x: a - 1, y: b}),
-        }
-        return _verdict_with_witness(d, CITE_TRIANGULAR, images, ("c = 1",))
-    notes = []
+        return _triangular(d, z, x, "c = 1")
     g = gcd(gcd(a, b), c)
     if g > 1:
-        notes.append(
+        return _verdict(
+            d,
+            RIGID,
+            CITE_CASE1,
             f"exponent gcd {g} > 1: the hypersurface is not a domain, and the"
-            " same theorem covers it"
+            " same theorem covers it",
         )
-    return Verdict(
-        status=RIGID, citation=CITE_CASE1, witness=None, notes=tuple(d.notes) + tuple(notes)
-    )
+    return _verdict(d, RIGID, CITE_CASE1)
 
 
 def _classify_fermat_3(d: FamilyDescriptor) -> Verdict:
-    a, b, c = d.exponents
-    variables = d.variables
+    a, b, _ = d.exponents
     x, y, z = d.roles
-    alpha, beta, gamma = d.coefficients
+    alpha, beta, _ = d.coefficients
     if a == 1:
-        images = {
-            y: Polynomial.constant(variables, 1),
-            x: _mono(variables, -(beta * b) / alpha, {y: b - 1}),
-        }
-        return _verdict_with_witness(
-            d, CITE_TRIANGULAR, images, ("smallest exponent is 1",)
-        )
+        return _triangular(d, x, y, "smallest exponent is 1")
     if a == 2 and b == 2:
-        if alpha == beta:
-            scale = (gamma * c) / (alpha * 2)
-            images = {
-                x: _mono(variables, -scale, {z: c - 1}),
-                y: _mono(variables, -scale * GaussianRational(0, 1), {z: c - 1}),
-                z: Polynomial.variable(variables, x)
-                + _mono(variables, GaussianRational(0, 1), {y: 1}),
-            }
-            return _verdict_with_witness(
-                d, CITE_TWO_SQUARES, images, ("two smallest exponents are 2",)
-            )
-        return _verdict_with_witness(
-            d,
-            CITE_TWO_SQUARES,
-            None,
-            (
-                "two smallest exponents are 2, but the catalog witness needs a"
-                f" square root of the coefficient ratio {beta / alpha}, which is"
-                " not available in Q(i) in general",
-            ),
+        return _two_squares(
+            d, CITE_TWO_SQUARES, x, y, z, alpha, beta, "two smallest exponents are 2"
         )
-    return Verdict(status=RIGID, citation=CITE_KALZAI, witness=None, notes=d.notes)
+    return _verdict(d, RIGID, CITE_KALZAI)
 
 
 def _leftover_pattern(a: int, b: int, c: int, d: int) -> bool:
@@ -703,73 +709,28 @@ def _classify_mixed_four(desc: FamilyDescriptor) -> Verdict:
     x, y, z, t = desc.roles
     alpha, beta, gamma = desc.coefficients
     if b == 1:
-        images = {
-            y: _mono(variables, beta * c, {z: c - 1}),
-            z: _mono(variables, -alpha, {x: a}),
-        }
-        return _verdict_with_witness(desc, CITE_TRIANGULAR, images, ("b = 1",))
+        return _triangular(desc, y, z, "b = 1")
     if c == 1:
-        images = {
-            t: Polynomial.constant(variables, 1),
-            z: _mono(variables, -(gamma * d) / beta, {t: d - 1}),
-        }
-        return _verdict_with_witness(desc, CITE_TRIANGULAR, images, ("c = 1",))
+        return _triangular(desc, z, t, "c = 1")
     if c == 2 and d == 2:
-        if beta == gamma:
-            scale = (alpha * b) / (beta * 2)
-            images = {
-                y: Polynomial.variable(variables, z)
-                + _mono(variables, GaussianRational(0, -1), {t: 1}),
-                z: _mono(variables, -scale, {x: a, y: b - 1}),
-                t: _mono(variables, scale * GaussianRational(0, 1), {x: a, y: b - 1}),
-            }
-            return _verdict_with_witness(
-                desc, CITE_ZT_PRODUCT, images, ("c = d = 2",)
-            )
-        return _verdict_with_witness(
-            desc,
-            CITE_ZT_PRODUCT,
-            None,
-            (
-                "c = d = 2, but the catalog witness needs a square root of the"
-                f" coefficient ratio {gamma / beta}, which is not available in"
-                " Q(i) in general",
-            ),
-        )
+        return _two_squares(desc, CITE_ZT_PRODUCT, z, t, y, beta, gamma, "c = d = 2")
     if b == 2 and c == 2 and a % 2 == 0:
         # After canonicalization c <= d, the exponent-2 pure slot is z.
-        if alpha == beta:
-            half = a // 2
-            images = {
-                y: _mono(variables, gamma * d, {t: d - 1}),
-                z: _mono(variables, gamma * d * GaussianRational(0, -1), {x: half, t: d - 1}),
-                t: _mono(variables, alpha * (-2), {x: a, y: 1})
-                + _mono(variables, alpha * GaussianRational(0, 2), {x: half, z: 1}),
-            }
-            return _verdict_with_witness(
-                desc,
-                CITE_EVEN_TWIST,
-                images,
-                (f"b = 2, c = 2 and a = {a} is even",),
-            )
+        if alpha != beta:
+            return _withheld(desc, CITE_EVEN_TWIST, "b = 2 with an even a", beta / alpha)
+        half = a // 2
+        images = {
+            y: _mono(variables, gamma * d, {t: d - 1}),
+            z: _mono(variables, gamma * d * GaussianRational(0, -1), {x: half, t: d - 1}),
+            t: _mono(variables, alpha * (-2), {x: a, y: 1})
+            + _mono(variables, alpha * GaussianRational(0, 2), {x: half, z: 1}),
+        }
         return _verdict_with_witness(
-            desc,
-            CITE_EVEN_TWIST,
-            None,
-            (
-                "b = 2 with an even a, but the catalog witness needs a square"
-                f" root of the coefficient ratio {beta / alpha}, which is not"
-                " available in Q(i) in general",
-            ),
+            desc, CITE_EVEN_TWIST, images, f"b = 2, c = 2 and a = {a} is even"
         )
     if _leftover_pattern(a, b, c, d):
-        return Verdict(
-            status=UNKNOWN,
-            citation=CITE_LEFTOVER,
-            witness=None,
-            notes=tuple(desc.notes) + ("open exceptional pattern",),
-        )
-    return Verdict(status=RIGID, citation=CITE_ABCD, witness=None, notes=desc.notes)
+        return _verdict(desc, UNKNOWN, CITE_LEFTOVER, "open exceptional pattern")
+    return _verdict(desc, RIGID, CITE_ABCD)
 
 
 def _cb4_ordering(ds: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -783,135 +744,73 @@ def _cb4_ordering(ds: Sequence[int]) -> Optional[tuple[int, ...]]:
 def _classify_fermat_n(desc: FamilyDescriptor) -> Verdict:
     ds = desc.exponents
     n = len(ds)
-    variables = desc.variables
     roles = desc.roles
     coeffs = desc.coefficients
+
+    def smallest_except(*skip: int) -> int:
+        return min((i for i in range(n) if i not in skip), key=lambda i: (ds[i], i))
+
     if 1 in ds:
         j = ds.index(1)
-        k = min((i for i in range(n) if i != j), key=lambda i: (ds[i], i))
-        images = {
-            roles[k]: Polynomial.constant(variables, 1),
-            roles[j]: _mono(
-                variables, -(coeffs[k] * ds[k]) / coeffs[j], {roles[k]: ds[k] - 1}
-            ),
-        }
-        return _verdict_with_witness(
-            desc, CITE_TRIANGULAR, images, (f"exponent 1 in slot {j + 1}",)
-        )
+        return _triangular(desc, roles[j], roles[smallest_except(j)], f"exponent 1 in slot {j + 1}")
     squares = [i for i, e in enumerate(ds) if e == 2]
     if len(squares) >= 2:
         j, k = squares[:2]
-        rule_note = f"two exponents equal 2 (slots {j + 1} and {k + 1})"
-        if coeffs[j] == coeffs[k]:
-            m = min(
-                (i for i in range(n) if i not in (j, k)), key=lambda i: (ds[i], i)
-            )
-            scale = (coeffs[m] * ds[m]) / (coeffs[j] * 2)
-            images = {
-                roles[j]: _mono(variables, -scale, {roles[m]: ds[m] - 1}),
-                roles[k]: _mono(
-                    variables, -scale * GaussianRational(0, 1), {roles[m]: ds[m] - 1}
-                ),
-                roles[m]: Polynomial.variable(variables, roles[j])
-                + _mono(variables, GaussianRational(0, 1), {roles[k]: 1}),
-            }
-            return _verdict_with_witness(
-                desc, CITE_TWO_SQUARES, images, (rule_note,)
-            )
-        return _verdict_with_witness(
-            desc,
-            CITE_TWO_SQUARES,
-            None,
-            (
-                rule_note + ", but the catalog witness needs a square root of"
-                f" the coefficient ratio {coeffs[k] / coeffs[j]}, which is not"
-                " available in Q(i) in general",
-            ),
+        return _two_squares(
+            desc, CITE_TWO_SQUARES, roles[j], roles[k], roles[smallest_except(j, k)],
+            coeffs[j], coeffs[k], f"two exponents equal 2 (slots {j + 1} and {k + 1})",
         )
     trace: list[str] = []
     if n == 4:
         perm = _cb4_ordering(ds)
         if perm is not None:
             a, b, c, d = (ds[i] for i in perm)
-            return Verdict(
-                status=RIGID,
-                citation=CITE_CB4,
-                witness=None,
-                notes=tuple(desc.notes)
-                + (
-                    f"ordering (a,b,c,d) = ({a},{b},{c},{d}) satisfies"
-                    f" gcd({a * b},{c}) = gcd({a * b * c},{d}) = 1 and"
-                    f" gcd({a},{b}) = {gcd(a, b)}",
-                ),
+            return _verdict(
+                desc,
+                RIGID,
+                CITE_CB4,
+                f"ordering (a,b,c,d) = ({a},{b},{c},{d}) satisfies"
+                f" gcd({a * b},{c}) = gcd({a * b * c},{d}) = 1 and"
+                f" gcd({a},{b}) = {gcd(a, b)}",
             )
         trace.append("CB4: no ordering satisfies the gcd conditions")
     sum_rule = check_fermat_sum(list(ds))
     if sum_rule.status == OBSTRUCTED:
-        return Verdict(
-            status=RIGID,
-            citation=CITE_EX1,
-            witness=None,
-            notes=tuple(desc.notes) + (f"EX1: {sum_rule.detail}",),
-        )
+        return _verdict(desc, RIGID, CITE_EX1, f"EX1: {sum_rule.detail}")
     trace.append(f"EX1: {sum_rule.detail}")
-    return Verdict(
-        status=UNKNOWN,
-        citation=CITE_OPEN,
-        witness=None,
-        notes=tuple(desc.notes) + tuple(trace),
-    )
+    return _verdict(desc, UNKNOWN, CITE_OPEN, *trace)
 
 
 def _classify_danielewski(desc: FamilyDescriptor) -> Verdict:
     (d,) = desc.exponents
     if desc.tail is None:
-        return Verdict(
-            status=UNKNOWN,
-            citation=CITE_OPEN,
-            witness=None,
-            notes=tuple(desc.notes)
-            + ("the tail is not a polynomial in y alone, so no catalog rule applies",),
+        return _verdict(
+            desc,
+            UNKNOWN,
+            CITE_OPEN,
+            "the tail is not a polynomial in y alone, so no catalog rule applies",
         )
     p = desc.tail
     if p[0].is_zero:
-        return Verdict(
-            status=OUT_OF_SCOPE,
-            citation=CITE_OUT_OF_SCOPE,
-            witness=None,
-            notes=tuple(desc.notes)
-            + ("P(0) = 0 breaks the family's defining hypothesis",),
+        return _verdict(
+            desc, OUT_OF_SCOPE, CITE_OUT_OF_SCOPE,
+            "P(0) = 0 breaks the family's defining hypothesis",
         )
     deg_p = len(p) - 1
     if d >= 2 and deg_p <= (d - 1) ** 2:
-        return Verdict(
-            status=RIGID,
-            citation=CITE_EX2T,
-            witness=None,
-            notes=tuple(desc.notes) + (f"deg(P) = {deg_p} <= (d-1)^2 = {(d - 1) ** 2}",),
-        )
+        return _verdict(desc, RIGID, CITE_EX2T, f"deg(P) = {deg_p} <= (d-1)^2 = {(d - 1) ** 2}")
     # P = y*Q(y) + P(0); a monomial Q = c*y^e turns the unit equation into
     # F^d + c*H^(d+e) = 1, settled by the two-power rule.
-    q = p[1:]
-    monomial_slots = [e for e, cf in enumerate(q) if not cf.is_zero]
-    if len(monomial_slots) == 1:
+    monomial_slots = [e for e, cf in enumerate(p[1:]) if not cf.is_zero]
+    if len(monomial_slots) == 1 and monomial_slots[0] >= 2:
         e = monomial_slots[0]
-        if e >= 2:
-            rule = check_mini_mason(d, d + e)
-            if rule.status == OBSTRUCTED:
-                return Verdict(
-                    status=RIGID,
-                    citation=CITE_MINIMASON,
-                    witness=None,
-                    notes=tuple(desc.notes)
-                    + (f"tail Q = c*y^{e}: {rule.detail}",),
-                )
-    return Verdict(
-        status=UNKNOWN,
-        citation=CITE_OPEN,
-        witness=None,
-        notes=tuple(desc.notes)
-        + (
-            f"deg(P) = {deg_p} exceeds (d-1)^2 = {(d - 1) ** 2} and the tail is"
-            " not a monomial obstruction",
-        ),
+        rule = check_mini_mason(d, d + e)
+        if rule.status == OBSTRUCTED:
+            return _verdict(desc, RIGID, CITE_MINIMASON, f"tail Q = c*y^{e}: {rule.detail}")
+    return _verdict(
+        desc,
+        UNKNOWN,
+        CITE_OPEN,
+        f"deg(P) = {deg_p} exceeds (d-1)^2 = {(d - 1) ** 2} and the tail is"
+        " not a monomial obstruction",
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .derivation import Derivation, make_derivation
-from .poly import MINUS_INF, NotDivisibleError, Polynomial, WeightVector
+from .poly import MINUS_INF, InternalInvariantError, NotDivisibleError, Polynomial, WeightVector
 from .quotient import RingElement, RingPresentation
 
 
@@ -170,7 +170,8 @@ def derivation_degree_jump(derivation: Derivation, weights: WeightVector) -> Deg
         if jump == d:
             images[i] = graded.quotient.normal_form(reduced.top_part(weights))
     gr_derivation = make_derivation(graded.quotient, images)
-    assert not gr_derivation.is_zero, "homogenized derivation lost all images"
+    if gr_derivation.is_zero:
+        raise InternalInvariantError("homogenized derivation lost all images")
     return DegreeJump(jump=d, graded=graded, gr_derivation=gr_derivation)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
 from typing import Sequence, Union
 
 from .gauss import GaussianRational, ScalarLike
@@ -38,7 +37,7 @@ from .mason import (
     check_mini_mason,
     check_twisted_mason,
 )
-from .poly import GaussianInt, InternalInvariantError, Polynomial, gaussian_pow
+from .poly import GaussianInt, InternalInvariantError, Polynomial, _integral, gaussian_pow
 
 HOMOGENEOUS_ZERO = "zero"
 UNIT_TARGET = "unit"
@@ -260,18 +259,8 @@ def bounded_search(
     relation = problem.relation
     n = len(relation.variables)
     # Clear denominators so every leaf works in Gaussian integers; scaling by
-    # a positive rational changes neither vanishing nor unit-ness.
-    scale = lcm(
-        *(
-            part.denominator
-            for coeff in relation.terms.values()
-            for part in (coeff.re, coeff.im)
-        )
-    )
-    terms = [
-        (exps, (int(coeff.re * scale), int(coeff.im * scale)))
-        for exps, coeff in relation.terms.items()
-    ]
+    # a positive integer changes neither vanishing nor unit-ness.
+    terms = list(zip(relation.terms, _integral(list(relation.terms.values()))))
     want_zero = problem.constraint == HOMOGENEOUS_ZERO
     points = _FILTER_POINTS[:1] if want_zero else _FILTER_POINTS
     deg = max(sum(e * d for e, d in zip(exps, bounds)) for exps, _ in terms)

@@ -14,6 +14,7 @@ import pytest
 
 import rigidity.cli as cli
 import rigidity.families as families
+import rigidity.grading as grading
 import rigidity.oracle as oracle
 import rigidity.poly as poly
 from rigidity.cli import main
@@ -269,6 +270,27 @@ def test_inexact_gcd_division_exits_2(monkeypatch, capsys):
     assert code == 2
     assert payload["error"]["type"] == "internal_invariant"
     assert "is not divisible by" in payload["error"]["message"]
+
+
+def test_homogenized_derivation_losing_every_image_exits_2(monkeypatch, capsys):
+    # The check must hold under ``python -O`` too, so it is no assert.
+    real = grading.make_derivation
+
+    def zeroed(presentation, images):
+        return real(presentation, [poly.Polynomial.zero(presentation.variables)] * len(images))
+
+    monkeypatch.setattr(grading, "make_derivation", zeroed)
+    code = main(
+        ["verify-derivation", "--relation", "X*Y - Z^2", "--image", "Y=2*Z", "--image", "Z=X",
+         "--weights", "1,1,1", "--json", "--deterministic"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"] == {
+        "type": "internal_invariant",
+        "message": "homogenized derivation lost all images",
+    }
 
 
 @pytest.mark.parametrize("as_json", [True, False])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -239,12 +240,24 @@ def test_mixed_four_rigid():
 def test_mixed_four_exponent_one():
     v = classify(mixed_four(4, 1, 3, 5))
     assert_sound_witness(v)
+    # the triangular derivation f_Y*d/dZ - f_Z*d/dY
+    X, Y, Z, T = gens("X", "Y", "Z", "T")
+    assert v.witness.image_of("Y").rep == -3 * Z**2
+    assert v.witness.image_of("Z").rep == X**4
+    assert v.witness.image_of("X").rep.is_zero
+    assert v.witness.image_of("T").rep.is_zero
 
 
 def test_mixed_four_zt_squares():
     v = classify(mixed_four(3, 2, 2, 2))
     assert_sound_witness(v)
     assert v.citation.startswith("derived witness: Z^2 + T^2")
+    # the two-squares derivation in the Fermat3 convention, F = f_Y/2
+    X, Y, Z, T = gens("X", "Y", "Z", "T")
+    assert v.witness.image_of("Z").rep == -(X**3) * Y
+    assert v.witness.image_of("T").rep == gq(0, -1) * X**3 * Y
+    assert v.witness.image_of("Y").rep == Z + gq(0, 1) * T
+    assert v.witness.image_of("X").rep.is_zero
 
 
 def test_mixed_four_even_twist_witness():
@@ -445,6 +458,40 @@ def test_fermat_4_table_small_exponents():
                     )
 
 
+def test_every_catalog_witness_kills_its_relation_exactly():
+    """sum D(x_i)*f_(x_i) is the zero polynomial, not only zero modulo f,
+    for every witness over the criterion 01-03 exponent tables with
+    non-unit Gaussian coefficients (equal where a square root would be
+    needed, so that every NotRigid entry but the degenerate one has one)."""
+    q, r = gq(2, -1), gq(Fraction(-3, 2), 5)
+    descriptors = [
+        three_term_xy(a, b, c, coefficients=(q, r))
+        for a in range(9) for b in range(9) for c in range(9) if (a, b, c) != (0, 0, 0)
+    ]
+    descriptors += [
+        fermat_3(a, b, c, coefficients=(q, q, r))
+        for a in range(1, 9) for b in range(a, 9) for c in range(b, 9)
+    ]
+    descriptors += [
+        mixed_four(a, b, c, d, coefficients=(q, q, q))
+        for a in range(1, 9) for b in range(1, 9) for c in range(1, 9) for d in range(1, 9)
+    ]
+    witnesses = 0
+    for desc in descriptors:
+        v = classify(desc)
+        if v.status != "NotRigid":
+            continue
+        assert v.witness is not None, (desc.kind, desc.exponents)
+        f = desc.relation
+        total = Polynomial.zero(f.variables)
+        for name in f.variables:
+            total = total + v.witness.image_of(name).rep * f.diff(name)
+        assert total.is_zero, (desc.kind, desc.exponents)
+        witnesses += 1
+    # 385 three-term, 43 three-power and 1828 mixed four-variable entries
+    assert witnesses == 385 + 43 + 1828
+
+
 # ---------------------------------------------------------------------------
 # the open list
 # ---------------------------------------------------------------------------
@@ -575,3 +622,58 @@ def test_round_trip_recognition_preserves_verdicts():
         # the canonicalization notes come first, the recognizer's own after
         assert again.notes[: len(descriptor.notes)] == descriptor.notes
         assert classify(again).status == classify(descriptor).status
+
+
+def _random_catalog_relation(rng):
+    """A random relation of one catalog shape, as (variables, terms)."""
+
+    def scalar():
+        while True:
+            c = gq(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))), rng.choice((0, 0, 1, -2)))
+            if not c.is_zero:
+                return c
+
+    def e(low, high=6):
+        return rng.randint(low, high)
+
+    shape = rng.choice(("three_term", "fermat_3", "mixed_four", "fermat_n", "danielewski"))
+    if shape == "three_term":
+        exps = (e(0), e(0), e(0))
+        if exps == (0, 0, 0):
+            exps = (1, 0, 2)
+        return ("X", "Y", "Z"), [((exps[0], exps[1], 0), scalar()), ((0, 0, exps[2]), scalar())]
+    if shape == "danielewski":
+        d = rng.randint(1, 4)
+        terms = [((d, 1, 0), scalar())]
+        terms += [((0, k, d), scalar()) for k in range(rng.randint(1, 5)) if rng.random() < 0.7]
+        if len(terms) < 3:
+            terms.append(((0, 2, d), scalar()))
+        return ("X", "Y", "Z"), terms
+    if shape == "mixed_four":
+        return ("X", "Y", "Z", "T"), [
+            ((e(1), e(1), 0, 0), scalar()),
+            ((0, 0, e(1, 4), 0), scalar()),
+            ((0, 0, 0, e(1, 4)), scalar()),
+        ]
+    n = 3 if shape == "fermat_3" else rng.choice((4, 4, 5))
+    variables = ("X", "Y", "Z", "T", "U")[:n]
+    return variables, [
+        (tuple(e(1, 9) if j == i else 0 for j in range(n)), scalar()) for i in range(n)
+    ]
+
+
+def test_permuting_variables_and_rescaling_terms_keeps_the_verdict():
+    """Metamorphic check: a catalog verdict depends on neither the order of
+    the variables nor the nonzero coefficient of any term."""
+    rng = random.Random(20101)
+    for _ in range(400):
+        variables, terms = _random_catalog_relation(rng)
+        f = Polynomial(variables, terms)
+        perm = rng.sample(range(len(variables)), len(variables))
+        scales = (2, -1, gq(0, 3), gq(1, -1))
+        moved = Polynomial(
+            variables,
+            [(tuple(exps[i] for i in perm), c * rng.choice(scales)) for exps, c in terms],
+        )
+        before, after = classify(recognize_family(f)), classify(recognize_family(moved))
+        assert (after.status, after.citation) == (before.status, before.citation), (f, moved)
