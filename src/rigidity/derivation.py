@@ -9,16 +9,26 @@ which is checked at construction time.  Nilpotency of a derivation (the
 "locally nilpotent" property on generators) is only ever *certified*, either
 by bounded iteration or by a strictly negative grading jump; a failed probe
 is reported as inconclusive, never as a disproof.
+
+The iteration runs over the Gaussian integers Z[i]: each iterate is kept up
+to a nonzero scalar factor, as (re, im) int pairs with cleared denominators,
+and reduced by pseudo-division by the relation.  This is sound because the
+normal form modulo one relation is linear: a nonzero multiple of it is zero
+exactly when it is, and has the same terms, so the step counts and the term
+ceiling read as they would over Q(i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, le, sub
 from typing import Sequence, Union
 
 from .gauss import GaussianRational, ScalarLike
-from .poly import Polynomial, UnknownVariableError
+from .poly import GaussianInt, Polynomial, UnknownVariableError, _integral
 from .quotient import PresentationMismatchError, RingElement, RingPresentation
 
 DEFAULT_PROBE_BOUND = 64
@@ -123,6 +133,118 @@ class NilpotencyReport:
         return self.status == "certified"
 
 
+# A probe iterate: exponent tuples to nonzero (re, im) int pairs.  The
+# helpers below build no Polynomial and no GaussianRational.
+_Pairs = dict[tuple[int, ...], GaussianInt]
+
+
+def _integral_terms(p: Polynomial) -> _Pairs:
+    """The terms of p times the lcm of its coefficient denominators."""
+    return dict(zip(p.terms, _integral(list(p.terms.values()))))
+
+
+def _integral_images(derivation: Derivation) -> list[tuple[int, list]]:
+    """The nonzero images times one common denominator, as pairs (k, terms)
+    with each term (exponents minus the unit vector of k, (re, im))."""
+    found = [(k, img.rep.terms) for k, img in enumerate(derivation.images) if not img.is_zero]
+    pairs = iter(_integral([c for _, terms in found for c in terms.values()]))
+    images = []
+    for k, terms in found:
+        shifted = []
+        for exps in terms:
+            lowered = list(exps)
+            lowered[k] -= 1
+            shifted.append((tuple(lowered), next(pairs)))
+        images.append((k, shifted))
+    return images
+
+
+def _integral_relation(relation: Polynomial) -> tuple[tuple[int, ...], int, list]:
+    """The relation with cleared denominators, times the conjugate of its
+    leading coefficient lc: (lead exponents, the leading coefficient
+    |lc|^2 > 0, the other terms as (exponents minus the lead exponents,
+    (re, im)))."""
+    lead, _ = relation.leading_term()
+    terms = _integral_terms(relation)
+    a, b = terms.pop(lead)
+    tail = [
+        (tuple(map(sub, exps, lead)), (a * re + b * im, a * im - b * re))
+        for exps, (re, im) in terms.items()
+    ]
+    return lead, a * a + b * b, tail
+
+
+def _apply_pairs(current: _Pairs, images: list) -> _Pairs:
+    """D applied to an iterate: sum over terms c*x^e and images D(x_k) of
+    e_k*c*x^(e - e_k)*D(x_k), accumulated in one dict."""
+    out: _Pairs = {}
+    get = out.get
+    for exps, (c_re, c_im) in current.items():
+        for k, shifted in images:
+            e = exps[k]
+            if not e:
+                continue
+            m_re, m_im = e * c_re, e * c_im
+            for step, (d_re, d_im) in shifted:
+                target = tuple(map(add, exps, step))
+                old = get(target)
+                if old is None:
+                    out[target] = (m_re * d_re - m_im * d_im, m_re * d_im + m_im * d_re)
+                else:
+                    out[target] = (
+                        old[0] + m_re * d_re - m_im * d_im,
+                        old[1] + m_re * d_im + m_im * d_re,
+                    )
+    return {e: c for e, c in out.items() if c[0] or c[1]}
+
+
+def _grlex_heap_key(exps: tuple[int, ...]) -> tuple:
+    """heapq pops the graded-lex largest monomial first under this key."""
+    return (-sum(exps), tuple(-e for e in exps), exps)
+
+
+def _pseudo_normal_form(work: _Pairs, lead: tuple[int, ...], norm: int, tail: list) -> _Pairs:
+    """A nonzero rational multiple of the remainder of work modulo the
+    relation, with integer content 1; work is consumed.
+
+    f = norm*x^lead + tail is the relation from _integral_relation.  Its
+    multiples of x^lead are cancelled from the graded-lex largest down, so
+    each term is reduced once: the term c*x^t turns W into
+    s*W - q*x^(t - lead)*f with g = gcd(norm, c), s = norm/g and q = c/g.
+    Every scaling is by a rational integer and the content is removed at
+    the end, so coefficients stay the size of the primitive normal form.
+    """
+    heap = [_grlex_heap_key(e) for e in work if all(map(le, lead, e))]
+    heapify(heap)
+    while heap:
+        t = heappop(heap)[2]
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        g = gcd(norm, c[0], c[1])
+        s, q_re, q_im = norm // g, c[0] // g, c[1] // g
+        if s != 1:
+            work = {e: (s * x, s * y) for e, (x, y) in work.items()}
+        for step, (d_re, d_im) in tail:
+            target = tuple(map(add, t, step))
+            old = work.get(target)
+            p_re, p_im = q_re * d_re - q_im * d_im, q_re * d_im + q_im * d_re
+            if old is None:
+                work[target] = (-p_re, -p_im)
+                if all(map(le, lead, target)):
+                    heappush(heap, _grlex_heap_key(target))
+            else:
+                new = (old[0] - p_re, old[1] - p_im)
+                if new[0] or new[1]:
+                    work[target] = new
+                else:
+                    del work[target]
+    content = gcd(*[x for c in work.values() for x in c])
+    if content > 1:
+        work = {e: (x // content, y // content) for e, (x, y) in work.items()}
+    return work
+
+
 def probe_nilpotency(
     derivation: Derivation, bound: int = DEFAULT_PROBE_BOUND
 ) -> NilpotencyReport:
@@ -131,14 +253,24 @@ def probe_nilpotency(
     steps_per_generator[i] is the least n with D^n(x_i) = 0 in the quotient.
     An iterate with more than DEFAULT_TERM_CEILING terms also ends the probe
     as inconclusive.
+
+    Each iterate is a nonzero scalar multiple of the normal form of
+    D^n(x_i) over Z[i]: denominators are cleared once, one fused pass
+    applies D and a pseudo-division by the relation reduces the result.
+    Normal form modulo one relation is linear, so the multiple is zero
+    exactly when the normal form is and has as many terms; the steps and
+    the term ceiling come out as over Q(i).
     """
     if bound < 1:
         raise ValueError("probe bound must be positive")
+    presentation = derivation.presentation
+    images = _integral_images(derivation)
+    lead, norm, tail = _integral_relation(presentation.relation)
     steps = []
-    for gen in derivation.presentation.generators():
-        current = gen
+    for gen in presentation.generators():
+        current = _integral_terms(gen.rep)
         n = 0
-        while not current.is_zero:
+        while current:
             if n >= bound:
                 return NilpotencyReport(
                     status="inconclusive",
@@ -147,7 +279,7 @@ def probe_nilpotency(
                     bound_used=bound,
                     detail=f"generator {gen.rep!r} not annihilated within {bound} steps",
                 )
-            if len(current.rep.terms) > DEFAULT_TERM_CEILING:
+            if len(current) > DEFAULT_TERM_CEILING:
                 return NilpotencyReport(
                     status="inconclusive",
                     certificate=None,
@@ -155,7 +287,7 @@ def probe_nilpotency(
                     bound_used=bound,
                     detail=f"iterate exceeded {DEFAULT_TERM_CEILING} terms",
                 )
-            current = apply(derivation, current)
+            current = _pseudo_normal_form(_apply_pairs(current, images), lead, norm, tail)
             n += 1
         steps.append(n)
     return NilpotencyReport(

@@ -4,13 +4,16 @@ Golden files live in tests/golden/ and were produced by the commands listed
 in GOLDEN_CASES with --json --deterministic; the comparison is byte-for-byte.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rigidity.cli as cli
 import rigidity.families as families
@@ -511,3 +514,53 @@ def test_ex1_shape_has_a_non_coprime_solution(capsys):
     assert main(["obstruct", "--pattern", "ex1", "--params", "d1=2,d2=3,d3=7",
                  "--json", "--deterministic"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["status"] == "Obstructed"
+
+
+# ---------------------------------------------------------------------------
+# any text in a polynomial, pattern, parameter or weight slot
+
+
+SLOT = object()
+FUZZ_TEMPLATES = [
+    ("classify", "--relation", SLOT),
+    ("gr", "--relation", SLOT, "--weights", "1,2,3"),
+    ("gr", "--relation", "X^2 - Y", "--vars", "X,Y", "--weights", SLOT),
+    ("mason", "--polys", SLOT),
+    ("obstruct", "--pattern", SLOT, "--params", "a=2,b=3"),
+    ("obstruct", "--pattern", "minimason", "--params", SLOT),
+    ("verify-derivation", "--relation", SLOT),
+    ("verify-derivation", "--relation", "X*Y - Z^2", "--image", SLOT),
+]
+GRAMMAR = "XYZTS i0123456789^*+-/(),;=."
+# Well-formed polynomial text too, so that some runs get past the parser;
+# exponents stay small to keep each command fast.
+TERMS = st.builds(
+    lambda coefficient, powers: coefficient + ("*".join(powers) or "1"),
+    st.sampled_from(["", "2*", "1/2*", "i*", "(1+2i)*", "5/3*"]),
+    st.lists(st.builds("{}^{}".format, st.sampled_from("XYZS"), st.integers(0, 9)), max_size=3),
+)
+SIGNED_TERMS = st.builds("{}{}".format, st.sampled_from([" + ", " - "]), TERMS)
+POLYNOMIALS = st.builds(
+    "{}{}".format, TERMS, st.lists(SIGNED_TERMS, max_size=3).map("".join)
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(FUZZ_TEMPLATES),
+    st.one_of(
+        st.text(alphabet=GRAMMAR, max_size=24),
+        st.text(max_size=24),
+        POLYNOMIALS,
+        st.lists(POLYNOMIALS, min_size=2, max_size=3).map(";".join),
+    ),
+)
+def test_any_text_gives_a_json_payload_and_exit_0_or_1(template, text):
+    argv = [text if part is SLOT else part for part in template]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--json", "--deterministic"])
+    assert code in (0, 1), (argv, out.getvalue(), err.getvalue())
+    payload = json.loads(out.getvalue())
+    assert payload["schema_version"] == "1"
+    assert ("result" in payload) != ("error" in payload), payload

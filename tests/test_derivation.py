@@ -1,23 +1,30 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from rigidity import (
     Derivation,
     IllDefinedDerivationError,
+    NilpotencyReport,
     Polynomial,
     RingPresentation,
     UnknownVariableError,
     apply,
     certify_by_negative_grading,
+    classify,
+    fermat_3,
     gens,
     make_derivation,
+    mixed_four,
     probe_nilpotency,
+    three_term_xy,
 )
 import rigidity.derivation as derivation_module
-from rigidity.gauss import gq
+from rigidity.gauss import GaussianRational, gq
 
-from helpers import random_poly
+from helpers import nonzero_random_poly, random_poly
 
 XYZ = ("X", "Y", "Z")
 X, Y, Z = gens(*XYZ)
@@ -171,3 +178,171 @@ def test_derivation_image_lookup(danielewski):
     assert danielewski.image_of("Z").rep == X
     with pytest.raises(UnknownVariableError):
         danielewski.image_of("W")
+
+
+# ---------------------------------------------------------------------------
+# the probe against the plain Q(i) iteration
+# ---------------------------------------------------------------------------
+
+
+def reference_probe(derivation: Derivation, bound: int) -> NilpotencyReport:
+    """The probe as a plain loop of the public apply over Q(i)."""
+    steps = []
+    for gen in derivation.presentation.generators():
+        current = gen
+        n = 0
+        while not current.is_zero:
+            if n >= bound:
+                return NilpotencyReport(
+                    status="inconclusive",
+                    certificate=None,
+                    steps_per_generator=None,
+                    bound_used=bound,
+                    detail=f"generator {gen.rep!r} not annihilated within {bound} steps",
+                )
+            if len(current.rep.terms) > derivation_module.DEFAULT_TERM_CEILING:
+                return NilpotencyReport(
+                    status="inconclusive",
+                    certificate=None,
+                    steps_per_generator=None,
+                    bound_used=bound,
+                    detail=f"iterate exceeded {derivation_module.DEFAULT_TERM_CEILING} terms",
+                )
+            current = apply(derivation, current)
+            n += 1
+        steps.append(n)
+    return NilpotencyReport(
+        status="certified",
+        certificate="iteration",
+        steps_per_generator=tuple(steps),
+        bound_used=bound,
+    )
+
+
+def scaled(derivation: Derivation, factor) -> Derivation:
+    images = [img.rep * factor for img in derivation.images]
+    return make_derivation(derivation.presentation, images)
+
+
+def catalog_witnesses(q=None, r=None):
+    """Every witness over the criterion 01-03 exponent tables, with the
+    tables' coefficients or with q and r on the terms (q on both squares
+    where a witness needs a square root of their ratio)."""
+
+    def kw(*coefficients):
+        return {} if q is None else {"coefficients": coefficients}
+
+    descriptors = [
+        three_term_xy(a, b, c, **kw(q, r))
+        for a in range(9) for b in range(9) for c in range(9)
+    ]
+    descriptors += [
+        fermat_3(a, b, c, **kw(q, q, r))
+        for a in range(1, 9) for b in range(a, 9) for c in range(b, 9)
+    ]
+    descriptors += [
+        mixed_four(a, b, c, d, **kw(q, q, q))
+        for a in range(1, 9) for b in range(1, 9) for c in range(1, 9) for d in range(1, 9)
+    ]
+    for desc in descriptors:
+        verdict = classify(desc)
+        if verdict.witness is not None:
+            yield verdict.witness, verdict.witness_report.bound_used
+
+
+def test_probe_matches_the_q_i_iteration_on_every_catalog_witness():
+    count = 0
+    for witness, bound in catalog_witnesses():
+        for d in (witness, scaled(witness, gq(Fraction(2, 3))), scaled(witness, gq(1, 1))):
+            assert probe_nilpotency(d, bound) == reference_probe(d, bound), d
+        count += 1
+    # 385 three-term, 43 three-power and 1,828 mixed four-variable entries
+    assert count == 385 + 43 + 1828
+
+
+def test_probe_matches_the_q_i_iteration_under_non_unit_leading_coefficients():
+    # The mixed four-variable witnesses reduce by a relation whose leading
+    # coefficient 2 - i is not a unit, so pseudo-division has to scale.
+    count = 0
+    for witness, bound in catalog_witnesses(gq(2, -1), gq(Fraction(-3, 2), 5)):
+        assert probe_nilpotency(witness, bound) == reference_probe(witness, bound), witness
+        count += 1
+    assert count == 385 + 43 + 1828
+
+
+# D(Y) = X^2 and D(Z) = 1 on C[X,Y,Z]/((2+i)X - Y - Z): not nilpotent, and
+# every iterate needs several pseudo-division steps.
+GROWING = ((gq(2, 1) * X - Y - Z), [(X**2 + 1) * gq(Fraction(2, 5), Fraction(-1, 5)), X**2, 1])
+
+
+def test_probe_matches_the_q_i_iteration_at_the_term_ceiling(monkeypatch):
+    d = make_derivation(RingPresentation(XYZ, GROWING[0]), GROWING[1])
+    monkeypatch.setattr(derivation_module, "DEFAULT_TERM_CEILING", 5)
+    report = probe_nilpotency(d, 64)
+    assert report == reference_probe(d, 64)
+    assert report.detail == "iterate exceeded 5 terms"
+
+
+@pytest.mark.parametrize(
+    "relation,images,bound",
+    [
+        # the Euler derivation never reaches 0
+        (X**2 + Y**2 + Z**2, [X, Y, Z], 16),
+        # generator X reduces to Y + Z, not to itself
+        (X - Y - Z, [gq(Fraction(2, 3)) * Z + gq(1, 1), gq(Fraction(2, 3)) * Z, gq(1, 1)], 64),
+        (X - Y - Z, [Y + Z, Y, Z], 8),
+        (*GROWING, 6),
+        # a non-unit leading coefficient, so pseudo-division has to scale
+        (
+            gq(3, 2) * X**2 * Y - gq(Fraction(1, 5)) * Z**3,
+            [0, 3 * gq(Fraction(1, 5)) * Z**2, gq(3, 2) * X**2],
+            64,
+        ),
+        (gq(3, 2) * X * Y - Z**2 + gq(0, 7), [0, 2 * Z, gq(3, 2) * X], 64),
+    ],
+)
+def test_probe_matches_the_q_i_iteration(relation, images, bound):
+    d = make_derivation(RingPresentation(XYZ, relation), images)
+    assert probe_nilpotency(d, bound) == reference_probe(d, bound)
+
+
+def test_probe_on_a_generator_that_reduces_to_zero():
+    # On the line C[X,Y]/(Y) the generator Y reduces to 0, which takes no step.
+    Xv, Yv = gens("X", "Y")
+    line = RingPresentation(("X", "Y"), Yv)
+    for image, bound in ((gq(Fraction(2, 3)), 12), (1 + Xv**2, 12), (Xv, 12)):
+        d = make_derivation(line, [image, 0])
+        assert probe_nilpotency(d, bound) == reference_probe(d, bound)
+    assert probe_nilpotency(make_derivation(line, [1, 0])).steps_per_generator == (2, 0)
+
+
+def test_each_z_i_iterate_is_a_primitive_multiple_of_the_q_i_iterate():
+    """Jacobian derivations f_j*d/dk - f_k*d/dj of random relations: every
+    iterate of the kernel has the terms of the exact one, one common ratio
+    and integer content 1."""
+    rng = random.Random(62)
+    checked = 0
+    for _ in range(40):
+        f = nonzero_random_poly(rng, XYZ, max_terms=4, max_exp=3)
+        if f.is_constant:
+            continue
+        j, k = rng.sample(XYZ, 2)
+        images = {j: -f.diff(k), k: f.diff(j)}
+        d = make_derivation(RingPresentation(XYZ, f), [images.get(v, 0) for v in XYZ])
+        pairs = derivation_module._integral_images(d)
+        lead, norm, tail = derivation_module._integral_relation(f)
+        for gen in d.presentation.generators():
+            exact, current = gen, derivation_module._integral_terms(gen.rep)
+            for _ in range(4):
+                assert current.keys() == exact.rep.terms.keys()
+                ratios = {GaussianRational(*current[e]) / c for e, c in exact.rep.terms.items()}
+                assert len(ratios) <= 1
+                if not current:
+                    break
+                exact = apply(d, exact)
+                current = derivation_module._pseudo_normal_form(
+                    derivation_module._apply_pairs(current, pairs), lead, norm, tail
+                )
+                assert gcd(*[x for c in current.values() for x in c]) in (0, 1)
+                checked += 1
+    assert checked > 100

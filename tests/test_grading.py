@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 
 from rigidity import (
     DegenerateGradingError,
@@ -19,7 +20,7 @@ from rigidity import (
 from rigidity.gauss import gq
 from rigidity.poly import MINUS_INF
 
-from helpers import nonzero_random_poly, random_poly
+from helpers import nonzero_random_poly, random_poly, random_scalar, to_sympy
 
 XY = ("X", "Y")
 Xp, Yp = gens(*XY)
@@ -110,6 +111,42 @@ def test_pattern_irreducible_trivia():
 
 def test_four_term_diagonal_is_recognized():
     assert pattern_irreducible(X4**2 + Y4**3 + Z4**5 + T4**7)
+
+
+def disjoint_support_poly(rng: random.Random, terms: int) -> Polynomial:
+    """terms monomials over X, Y, Z, T with pairwise disjoint supports and
+    nonzero Gaussian coefficients; with two terms the second may be 1.
+    Most coefficients are units, so that a binomial whose exponents
+    share a factor often splits, as in M^2 + 1 = (M + i)*(M - i)."""
+    used = rng.sample(range(4), rng.randint(1 if terms == 2 else terms, 4))
+    cuts = sorted(rng.sample(range(1, len(used) + (terms == 2)), terms - 1))
+    out = Polynomial.zero(XYZT)
+    for start, stop in zip([0, *cuts], [*cuts, len(used)]):
+        exps = [0] * 4
+        for i in used[start:stop]:
+            exps[i] = rng.randint(1, 6)
+        coefficient = rng.choice((gq(1), gq(-1), gq(0, 1), gq(0, -1), random_scalar(rng)))
+        while coefficient.is_zero:
+            coefficient = random_scalar(rng)
+        out = out + Polynomial.monomial(XYZT, exps, coefficient)
+    return out
+
+
+def test_pattern_irreducible_against_sympy_factoring():
+    """Whenever the pattern claims irreducibility, sympy factors the
+    polynomial over Q(i) into one nonconstant factor of multiplicity 1."""
+    rng = random.Random(63)
+    claimed = {2: 0, 3: 0, 4: 0}
+    for _ in range(40):
+        terms = rng.choice((2, 2, 3, 4))
+        p = disjoint_support_poly(rng, terms)
+        if not pattern_irreducible(p):
+            continue
+        _, factors = sympy.factor_list(to_sympy(p), gaussian=True)
+        nonconstant = [(f, m) for f, m in factors if not f.is_number]
+        assert len(nonconstant) == 1 and nonconstant[0][1] == 1, (p, factors)
+        claimed[terms] += 1
+    assert all(claimed.values()), claimed
 
 
 # ---------------------------------------------------------------------------
