@@ -85,9 +85,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def _infer_variables(relation_text: str) -> tuple[str, ...]:
     """Default variable list: the X,Y,Z,T prefix covering every name used."""
     names = {
-        token.text
-        for token in _tokenize(relation_text)
-        if token.kind == "name" and token.text != "i"
+        text for kind, text, _ in _tokenize(relation_text) if kind == "name" and text != "i"
     }
     if not names:
         return DEFAULT_VARIABLES[:1]

@@ -10,9 +10,18 @@ imaginary unit, exponents apply to variables only:
     coefficient := rational 'i'? | 'i'
     rational    := integer ('/' positive-integer)?
 
-Parentheses nest at most :data:`MAX_NESTING` deep; deeper input is a
-:class:`ParseError` at the first parenthesis past the limit.  The command
-line also caps exponents at :data:`MAX_EXPONENT`.
+Digits are ASCII ``0-9``.  Parentheses nest at most :data:`MAX_NESTING`
+deep; deeper input is a :class:`ParseError` at the first parenthesis past the
+limit.  The command line also caps exponents at :data:`MAX_EXPONENT`.  An
+integer literal longer than the interpreter converts is a :class:`ParseError`
+at the literal.
+
+:func:`parse_poly` builds the term dict directly: a term is one coefficient
+and one exponent vector, and only a parenthesised factor is multiplied as a
+:class:`Polynomial`.  Terms merge by the rule of ``Polynomial.__add__`` (a
+coefficient that cancels is deleted; a later term with that monomial goes to
+the end), so ``p.terms`` has the insertion order that adding the terms as
+polynomials gives, and callers that iterate it see the same order.
 
 :func:`format_poly` emits a canonical form (graded-lex descending, fixed
 coefficient spelling) that parses back to the same polynomial, and distinct
@@ -21,12 +30,13 @@ polynomials format to distinct strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
-from .gauss import GaussianRational
-from .poly import Polynomial
+from .gauss import ONE, I, GaussianRational
+from .poly import ExponentVector, Polynomial
 
 #: Deepest parenthesis nesting the parser accepts.  The parser recurses a few
 #: frames per level, so this keeps it well under the interpreter's limit.
@@ -48,168 +58,155 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "name" | one of "+-*/^()" | "end"
-    text: str
-    line: int
-    column: int
+#: One match per token: an ASCII integer, a name, an operator, a run of
+#: whitespace (skipped), or any other character (an error).  ``\w`` is exactly
+#: ``str.isalnum`` plus ``_``; a name must start with a letter or ``_``.
+_TOKEN = re.compile(r"([0-9]+)|(\w+)|([-+*/^()])|[ \t\r\n]+|(.)", re.DOTALL)
+
+#: ``(kind, text, offset)``; kind is "int", "name", the operator, or "end".
+Token = tuple[str, str, int]
+
+
+def _error(message: str, text: str, offset: int) -> ParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, column = 1, 1
-    index = 0
-    while index < len(text):
-        ch = text[index]
-        if ch == "\n":
-            line += 1
-            column = 1
-            index += 1
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group is None:
             continue
-        if ch in " \t\r":
-            column += 1
-            index += 1
-            continue
-        start_col = column
-        if ch.isdigit():
-            end = index
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            tokens.append(Token("int", text[index:end], line, start_col))
-            column += end - index
-            index = end
-            continue
-        if ch.isalpha() or ch == "_":
-            end = index
-            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            tokens.append(Token("name", text[index:end], line, start_col))
-            column += end - index
-            index = end
-            continue
-        if ch in "+-*/^()":
-            tokens.append(Token(ch, ch, line, start_col))
-            column += 1
-            index += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("end", "", line, column))
+        word = match.group(group)
+        if group == 1:
+            tokens.append(("int", word, match.start()))
+        elif group == 3:
+            tokens.append((word, word, match.start()))
+        elif group == 2 and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("name", word, match.start()))
+        else:
+            raise _error(f"unexpected character {word[0]!r}", text, match.start())
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(
-        self,
-        tokens: list[Token],
-        variables: tuple[str, ...],
-        max_exponent: Optional[int],
-    ) -> None:
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, variables: tuple[str, ...], max_exponent: Optional[int]):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = self.depth = 0
         self.variables = variables
+        self.index = {name: k for k, name in enumerate(variables)}
         self.max_exponent = max_exponent
-        self.depth = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
 
     def fail(self, message: str, token: Token) -> ParseError:
-        if token.kind == "end":
-            return ParseError(f"{message} at end of input", token.line, token.column)
-        return ParseError(f"{message}, found {token.text!r}", token.line, token.column)
+        kind, text, offset = token
+        if kind == "end":
+            return _error(f"{message} at end of input", self.text, offset)
+        return _error(f"{message}, found {text!r}", self.text, offset)
 
-    def parse_expr(self) -> Polynomial:
-        sign = 1
-        if self.peek().kind in "+-":
-            sign = -1 if self.advance().kind == "-" else 1
-        result = self.parse_term() * sign
-        while self.peek().kind in "+-":
-            op = self.advance()
-            term = self.parse_term()
-            result = result + term if op.kind == "+" else result - term
-        return result
+    def integer(self, token: Token) -> int:
+        try:
+            return int(token[1])
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise _error(f"integer literal too long: {exc}", self.text, token[2]) from None
 
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while self.peek().kind == "*":
-            self.advance()
-            result = result * self.parse_factor()
-        return result
+    def parse_expr(self) -> dict[ExponentVector, GaussianRational]:
+        tokens = self.tokens
+        negate = tokens[self.pos][0] == "-"
+        if negate or tokens[self.pos][0] == "+":
+            self.pos += 1
+        terms = self.parse_term()
+        if negate:
+            terms = {e: -c for e, c in terms.items()}
+        while tokens[self.pos][0] in ("+", "-"):
+            negate = tokens[self.pos][0] == "-"
+            self.pos += 1
+            for exps, c in self.parse_term().items():
+                if negate:
+                    c = -c
+                existing = terms.get(exps)
+                total = c if existing is None else existing + c
+                if total:
+                    terms[exps] = total
+                else:
+                    del terms[exps]
+        return terms
 
-    def parse_factor(self) -> Polynomial:
-        token = self.peek()
-        if token.kind == "int":
-            return Polynomial.constant(self.variables, self.parse_coefficient())
-        if token.kind == "name":
-            if token.text == "i":
-                self.advance()
-                return Polynomial.constant(self.variables, GaussianRational(0, 1))
-            return self.parse_variable()
-        if token.kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels",
-                    token.line,
-                    token.column,
-                )
-            self.advance()
-            self.depth += 1
-            inner = self.parse_expr()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise self.fail("expected ')'", closing)
-            self.advance()
-            self.depth -= 1
-            return inner
-        raise self.fail("expected a coefficient, variable or '('", token)
+    def parse_term(self) -> dict[ExponentVector, GaussianRational]:
+        tokens = self.tokens
+        coeff, exps = ONE, [0] * len(self.variables)
+        product: Optional[Polynomial] = None  # the parenthesised factors
+        while True:
+            token = tokens[self.pos]
+            kind = token[0]
+            if kind == "int":
+                coeff = coeff * self.parse_coefficient()
+            elif kind == "name" and token[1] == "i":
+                self.pos += 1
+                coeff = coeff * I
+            elif kind == "name":
+                self.pos += 1
+                k = self.index.get(token[1])
+                if k is None:
+                    raise _error(f"unknown variable {token[1]!r}", self.text, token[2])
+                exps[k] += self.parse_exponent()
+            elif kind == "(":
+                if self.depth == MAX_NESTING:
+                    message = f"parentheses nested deeper than {MAX_NESTING} levels"
+                    raise _error(message, self.text, token[2])
+                self.pos += 1
+                self.depth += 1
+                inner = Polynomial._raw(self.variables, self.parse_expr())
+                if tokens[self.pos][0] != ")":
+                    raise self.fail("expected ')'", tokens[self.pos])
+                self.pos += 1
+                self.depth -= 1
+                product = inner if product is None else product * inner
+            else:
+                raise self.fail("expected a coefficient, variable or '('", token)
+            if tokens[self.pos][0] != "*":
+                break
+            self.pos += 1
+        if not coeff:
+            return {}
+        if product is None:
+            return {tuple(exps): coeff}
+        return {tuple(map(add, e, exps)): c * coeff for e, c in product.terms.items()}
 
     def parse_coefficient(self) -> GaussianRational:
-        numerator = int(self.advance().text)
-        value = Fraction(numerator)
-        if self.peek().kind == "/":
-            self.advance()
-            denom_token = self.peek()
-            if denom_token.kind != "int":
-                raise self.fail("expected a positive integer denominator", denom_token)
-            self.advance()
-            denominator = int(denom_token.text)
+        tokens = self.tokens
+        value = self.integer(tokens[self.pos])
+        self.pos += 1
+        if tokens[self.pos][0] == "/":
+            self.pos += 1
+            token = tokens[self.pos]
+            if token[0] != "int":
+                raise self.fail("expected a positive integer denominator", token)
+            self.pos += 1
+            denominator = self.integer(token)
             if denominator == 0:
-                raise ParseError(
-                    "zero denominator", denom_token.line, denom_token.column
-                )
-            value = Fraction(numerator, denominator)
-        if self.peek().kind == "name" and self.peek().text == "i":
-            self.advance()
+                raise _error("zero denominator", self.text, token[2])
+            value = Fraction(value, denominator)
+        if tokens[self.pos][0] == "name" and tokens[self.pos][1] == "i":
+            self.pos += 1
             return GaussianRational(0, value)
-        return GaussianRational(value)
+        return GaussianRational.coerce(value)
 
-    def parse_variable(self) -> Polynomial:
-        token = self.advance()
-        if token.text not in self.variables:
-            raise ParseError(
-                f"unknown variable {token.text!r}", token.line, token.column
-            )
-        exponent = 1
-        if self.peek().kind == "^":
-            self.advance()
-            exp_token = self.peek()
-            if exp_token.kind != "int":
-                raise self.fail("expected a natural-number exponent", exp_token)
-            self.advance()
-            exponent = int(exp_token.text)
-            if self.max_exponent is not None and exponent > self.max_exponent:
-                raise ParseError(
-                    f"exponent {exponent} exceeds the limit {self.max_exponent}",
-                    exp_token.line,
-                    exp_token.column,
-                )
-        return Polynomial.variable(self.variables, token.text) ** exponent
+    def parse_exponent(self) -> int:
+        if self.tokens[self.pos][0] != "^":
+            return 1
+        self.pos += 1
+        token = self.tokens[self.pos]
+        if token[0] != "int":
+            raise self.fail("expected a natural-number exponent", token)
+        self.pos += 1
+        exponent = self.integer(token)
+        if self.max_exponent is not None and exponent > self.max_exponent:
+            message = f"exponent {exponent} exceeds the limit {self.max_exponent}"
+            raise _error(message, self.text, token[2])
+        return exponent
 
 
 def parse_poly(
@@ -221,17 +218,19 @@ def parse_poly(
 
     Raises :class:`ParseError` with position information on any syntax
     problem or unknown variable; raises ValueError if the declared variables
-    themselves are invalid (``i`` is reserved).
+    themselves are invalid (``i`` is reserved, names are distinct).
     """
     variables = tuple(variables)
     if "i" in variables:
         raise ValueError("'i' is reserved for the imaginary unit")
-    parser = _Parser(_tokenize(text), variables, max_exponent)
-    result = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"duplicate variable names in {variables!r}")
+    parser = _Parser(text, variables, max_exponent)
+    terms = parser.parse_expr()
+    trailing = parser.tokens[parser.pos]
+    if trailing[0] != "end":
         raise parser.fail("unexpected trailing input", trailing)
-    return result
+    return Polynomial._raw(variables, terms)
 
 
 def _format_magnitude(value: Fraction, imaginary: bool) -> str:

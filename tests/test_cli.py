@@ -151,6 +151,23 @@ def test_parse_error_in_relation_exits_1(capsys):
     assert "column" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "relation, column",
+    [
+        ("X^\u00b2 + Y^2 + Z^3", 3),  # superscript two
+        ("X^2 + Y^2 + Z^\u0663", 15),  # Arabic-Indic three
+        ("X^2 + Y^2 + " + "7" * 5000 + "*Z^3", 13),  # past the int() digit limit
+    ],
+    ids=["superscript-digit", "arabic-indic-digit", "overlong-literal"],
+)
+def test_non_ascii_digit_or_overlong_literal_is_a_parse_error(relation, column, capsys):
+    code = main(["classify", "--relation", relation, "--json", "--deterministic"])
+    assert code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].endswith(f"(line 1, column {column})")
+
+
 def test_unknown_obstruction_pattern_exits_1(capsys):
     code = main(
         ["obstruct", "--pattern", "nosuch", "--params", "a=1", "--json", "--deterministic"]

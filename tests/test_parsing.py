@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigidity import ParseError, Polynomial, format_poly, gens, parse_poly
 from rigidity.parsing import MAX_NESTING
 from rigidity.gauss import gq
 
-from helpers import random_poly
+from helpers import random_poly, reference_parse
 
 XYZ = ("X", "Y", "Z")
 
@@ -59,6 +60,11 @@ def test_parse_exponent_cap():
 def test_reserved_imaginary_name():
     with pytest.raises(ValueError):
         parse_poly("i + 1", ("i", "X"))
+
+
+def test_duplicate_variable_names_are_rejected():
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        parse_poly("X + 1", ("X", "X"))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +153,106 @@ def test_exponent_applies_to_variables_only():
         parse_poly("(X + 1)^2", XYZ)
     with pytest.raises(ParseError):
         parse_poly("2^3", XYZ)
+
+
+def test_non_ascii_digits_are_unexpected_characters():
+    # Both pass str.isdigit; int() reads the Arabic-Indic three as 3 and
+    # rejects the superscript two.
+    for text, column, char in (("X^\u00b2 + Y^2 + Z^3", 3, "\u00b2"), ("Z^\u0663", 3, "\u0663")):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, XYZ)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert info.value.message == f"unexpected character {char!r}"
+
+
+def _int_conversion_reason(digits):
+    with pytest.raises(ValueError) as info:
+        int(digits)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "template, column",
+    [("X^2 + Y^2 + {}*Z^3", 13), ("X +\n  1/{}*Y", 5), ("Y + X^{}", 7)],
+    ids=["coefficient", "denominator", "exponent"],
+)
+def test_overlong_integer_literal_is_a_parse_error_at_the_literal(template, column):
+    digits = "7" * 5000
+    with pytest.raises(ParseError) as info:
+        parse_poly(template.format(digits), XYZ)
+    line = template.count("\n") + 1
+    assert (info.value.line, info.value.column) == (line, column)
+    assert info.value.message == f"integer literal too long: {_int_conversion_reason(digits)}"
+
+
+def test_cancelled_monomial_reenters_at_the_end():
+    # the order of Polynomial.__add__: a cancelled term is deleted, and the
+    # next term with that monomial is appended after the others
+    p = parse_poly("X - X + Y + X", XYZ)
+    assert list(p.terms) == [(0, 1, 0), (1, 0, 0)]
+    q = parse_poly("2*X*(Y - Z) + 2*X*Z - 1 + X*Z", XYZ)
+    assert list(q.terms) == [(1, 1, 0), (0, 0, 0), (1, 0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# differential test against the reference parser
+
+
+def _coefficients():
+    fraction = st.one_of(st.just(""), st.integers(1, 6).map("/{}".format))
+    imaginary = st.sampled_from(["", "", "", "i"])
+    return st.tuples(st.integers(0, 12).map(str), fraction, imaginary).map("".join)
+
+
+def _powers():
+    exponent = st.one_of(st.just(""), st.integers(0, 12).map("^{}".format))
+    return st.tuples(st.sampled_from(XYZ), exponent).map("".join)
+
+
+# Short terms drawn again and again, so that monomials cancel and come back.
+_REPEATED_TERMS = ("X", "Y", "X*Y", "2*X", "i*Y", "1", "1/2*Z^2")
+
+
+def _expressions(depth=0):
+    factors = [_coefficients(), st.just("i"), _powers()]
+    if depth < 4:
+        factors.append(_expressions(depth + 1).map("({})".format))
+    term = st.lists(st.one_of(factors), min_size=1, max_size=3).map("*".join)
+    terms = st.lists(st.one_of(term, st.sampled_from(_REPEATED_TERMS)), min_size=1, max_size=4)
+    signs = st.lists(st.sampled_from([" + ", " - ", "+", "-"]), min_size=4, max_size=4)
+    head = st.sampled_from(["", "", "-", "+"])
+    return st.tuples(head, terms, signs).map(
+        lambda t: t[0] + t[1][0] + "".join(s + x for s, x in zip(t[2], t[1][1:]))
+    )
+
+
+@st.composite
+def _mutated(draw):
+    """A well-formed text with one character deleted, inserted or doubled."""
+    text = draw(_expressions())
+    k = draw(st.integers(0, len(text) - 1))
+    edit = draw(st.sampled_from(["delete", "insert", "double"]))
+    if edit == "delete":
+        return text[:k] + text[k + 1 :]
+    if edit == "double":
+        return text[:k] + text[k] + text[k:]
+    return text[:k] + draw(st.sampled_from(list("+-*/^()i0W $\n"))) + text[k:]
+
+
+def _outcome(parse, text, max_exponent):
+    try:
+        p = parse(text, XYZ, max_exponent)
+    except ParseError as exc:
+        return type(exc), exc.message, exc.line, exc.column
+    return p.variables, list(p.terms.items())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(_expressions(), _mutated()), st.sampled_from([None, 8]))
+def test_parser_matches_the_reference_parser(text, max_exponent):
+    # same terms in the same insertion order, or the same error at the same place
+    expected = _outcome(reference_parse, text, max_exponent)
+    assert _outcome(parse_poly, text, max_exponent) == expected
 
 
 # ---------------------------------------------------------------------------
