@@ -21,9 +21,7 @@ from .families import (
     FamilyDescriptor,
     Verdict,
     classify,
-    danielewski_like,
     fermat_3,
-    fermat_n,
     mixed_four,
     recognize_family,
     three_term_xy,
@@ -115,11 +113,9 @@ __all__ = [
     "check_twisted_mason",
     "classify",
     "coset_degree",
-    "danielewski_like",
     "derivation_degree_jump",
     "distinct_root_count",
     "fermat_3",
-    "fermat_n",
     "format_poly",
     "gcd_univariate",
     "gens",

@@ -257,8 +257,11 @@ def cmd_obstruct(args: argparse.Namespace) -> dict:
         name, eq, value = piece.partition("=")
         if not eq:
             raise CliInputError(f"--params expects k=v pairs, got {piece!r}")
+        name = name.strip()
+        if name.lower() in map(str.lower, params):
+            raise CliInputError(f"--params: {name!r} is given twice")
         try:
-            params[name.strip()] = int(value)
+            params[name] = int(value)
         except ValueError:
             raise CliInputError(f"--params: {value!r} is not an integer") from None
     verdict = obstruction_check(args.pattern, params)

@@ -138,7 +138,7 @@ class Verdict:
 
 
 # --------------------------------------------------------------------------
-# descriptor constructors (used by tests and the exhaustive table checks) and
+# descriptor constructors (used by the criterion 01-03 acceptance tables) and
 # the per-family canonicalizers they share with recognition
 # --------------------------------------------------------------------------
 
@@ -213,7 +213,10 @@ def fermat_3(
         raise ValueError("the three-power family lives in three variables")
     exps = _check_exponents((a, b, c), 1)
     coeffs = _coerce_coeffs(coefficients)
-    return _pure_powers(variables, exps, coeffs, _sum_of_powers(variables, exps, coeffs))
+    relation = Polynomial.zero(variables)
+    for v, e, cf in zip(variables, exps, coeffs):
+        relation = relation + _mono(variables, cf, {v: e})
+    return _pure_powers(variables, exps, coeffs, relation)
 
 
 def mixed_four(
@@ -268,34 +271,6 @@ def _mixed_four(
     )
 
 
-def fermat_n(
-    exponents: Sequence[int],
-    variables: Optional[Sequence[str]] = None,
-    coefficients: Optional[Sequence[ScalarLike]] = None,
-) -> FamilyDescriptor:
-    """Descriptor for a sum of n >= 4 pure powers, one per variable."""
-    exps = _check_exponents(exponents, 1)
-    n = len(exps)
-    if n < 4:
-        raise ValueError("the n-power family needs at least four variables")
-    if variables is None:
-        variables = tuple(f"X{i + 1}" for i in range(n)) if n > 4 else ("X", "Y", "Z", "T")
-    variables = tuple(variables)
-    if len(variables) != n:
-        raise ValueError("one variable per exponent")
-    coeffs = _coerce_coeffs(coefficients if coefficients is not None else (1,) * n)
-    if len(coeffs) != n:
-        raise ValueError("one coefficient per exponent")
-    return _pure_powers(variables, exps, coeffs, _sum_of_powers(variables, exps, coeffs))
-
-
-def _sum_of_powers(variables: Names, exps: tuple[int, ...], coeffs: Coeffs) -> Polynomial:
-    relation = Polynomial.zero(variables)
-    for v, e, cf in zip(variables, exps, coeffs):
-        relation = relation + _mono(variables, cf, {v: e})
-    return relation
-
-
 def _pure_powers(
     variables: Names, exps: tuple[int, ...], coeffs: Coeffs, relation: Polynomial,
     notes: Sequence[str] = (),
@@ -319,56 +294,6 @@ def _pure_powers(
         roles=roles,
         coefficients=coeffs,
         relation=relation,
-        notes=tuple(notes),
-    )
-
-
-def danielewski_like(
-    d: int,
-    p_coefficients: Sequence[ScalarLike],
-    variables: Sequence[str] = ("X", "Y", "Z"),
-    head_coefficient: ScalarLike = 1,
-) -> FamilyDescriptor:
-    """Descriptor for X^d*Y + Z^d*P(Y); ``p_coefficients`` ascend from P(0)."""
-    variables = tuple(variables)
-    if len(variables) != 3:
-        raise ValueError("the Danielewski-like family lives in three variables")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("the head exponent d must be a positive integer")
-    p_coeffs = tuple(GaussianRational.coerce(v) for v in p_coefficients)
-    while p_coeffs and p_coeffs[-1].is_zero:
-        p_coeffs = p_coeffs[:-1]
-    if len(p_coeffs) < 2:
-        raise ValueError(
-            "the tail P must be nonconstant (a constant tail is a two-term relation)"
-        )
-    head = GaussianRational.coerce(head_coefficient)
-    if head.is_zero:
-        raise ValueError("the head coefficient must be nonzero")
-    x, y, z = variables
-    relation = _mono(variables, head, {x: d, y: 1})
-    for k, cf in enumerate(p_coeffs):
-        if not cf.is_zero:
-            relation = relation + _mono(variables, cf, {z: d, y: k})
-    return _danielewski(variables, variables, d, head, p_coeffs, relation)
-
-
-def _danielewski(
-    variables: Names, roles: Names, d: int, head: GaussianRational, tail: Optional[Coeffs],
-    relation: Polynomial, notes: Sequence[str] = (),
-) -> FamilyDescriptor:
-    """Descriptor for head*x^d*y + (tail terms); ``tail`` is P ascending when
-    every tail term has z-degree exactly d, and None for a loose tail."""
-    if tail is None:
-        notes = (*notes, "the tail mixes the y and z variables (loose tail)")
-    return FamilyDescriptor(
-        kind=DANIELEWSKI_LIKE,
-        exponents=(d,),
-        variables=variables,
-        roles=roles,
-        coefficients=(head,),
-        relation=relation,
-        tail=tail,
         notes=tuple(notes),
     )
 
@@ -529,7 +454,18 @@ def _match_danielewski(f: Polynomial) -> Optional[FamilyDescriptor]:
             p_coeffs = tuple(dense)
         notes = _coefficient_note((head_coeff,), (1,))
         notes.append(f"roles x={roles[0]}, y={roles[1]}, z={roles[2]}")
-        return _danielewski(variables, roles, d, head_coeff, p_coeffs, f, notes)
+        if p_coeffs is None:
+            notes.append("the tail mixes the y and z variables (loose tail)")
+        return FamilyDescriptor(
+            kind=DANIELEWSKI_LIKE,
+            exponents=(d,),
+            variables=variables,
+            roles=roles,
+            coefficients=(head_coeff,),
+            relation=f,
+            tail=p_coeffs,
+            notes=tuple(notes),
+        )
     return None
 
 

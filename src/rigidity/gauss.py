@@ -26,6 +26,20 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def decimal(value: RationalLike) -> str:
+    """Decimal text of an int or Fraction, also past the interpreter's limit
+    on int-to-str conversion: a longer int is printed in two halves."""
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{decimal(value.numerator)}/{decimal(value.denominator)}"
+    n = int(value)
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half the digits: log10(2) ~ 3/10
+        high, low = divmod(abs(n), 10**half)
+        return ("-" if n < 0 else "") + decimal(high) + decimal(low).zfill(half)
+
+
 class GaussianRational:
     __slots__ = ("re_num", "im_num", "den")
 
@@ -217,11 +231,11 @@ class GaussianRational:
 
     def __str__(self) -> str:
         if self.is_real:
-            return str(self.re)
+            return decimal(self.re)
         if not self.re_num:
-            return f"{self.im}i"
+            return f"{decimal(self.im)}i"
         sign = "+" if self.im_num > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        return f"({decimal(self.re)}{sign}{decimal(abs(self.im))}i)"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"

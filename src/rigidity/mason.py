@@ -271,6 +271,8 @@ def obstruction_check(pattern: str, params: dict[str, int]) -> ObstructionVerdic
     twistedmason(a,b,c), doublemason(a,b,c,d), ex1(d1..dn).
     """
     name = pattern.replace("-", "").replace("_", "").lower()
+    if len({k.lower() for k in params}) != len(params):
+        raise ValueError("parameter names must differ after lowercasing")
     params = {k.lower(): v for k, v in params.items()}
     if name == "ex1":
         if not params or set(params) != {f"d{i + 1}" for i in range(len(params))}:

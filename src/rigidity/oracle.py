@@ -14,19 +14,16 @@ scale:
 
 The search works on plain int pairs (re, im).  Each level lists its
 nonzero coefficient vectors once, with their values at one or two integer
-filter points, and every leaf is decided from exact Gaussian-integer values:
-the filter rejects a leaf unless the relation vanishes at the point (zero
-target) or takes one nonzero value at both (unit target), and a leaf that
-passes is decided exactly at deg + 1 points, deg bounding the degree of the
-substituted relation.  Any hit is re-verified with exact polynomial
-arithmetic before being reported.
+filter points: the filter rejects a leaf unless the relation vanishes at the
+point (zero target) or takes one nonzero value at both (unit target), and a
+leaf that passes is decided by exact substitution (verify_parametrization).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .gauss import GaussianRational, ScalarLike
 from .mason import (
@@ -37,7 +34,7 @@ from .mason import (
     check_mini_mason,
     check_twisted_mason,
 )
-from .poly import GaussianInt, InternalInvariantError, Polynomial, _integral, gaussian_pow
+from .poly import GaussianInt, Polynomial, _integral, gaussian_pow
 
 HOMOGENEOUS_ZERO = "zero"
 UNIT_TARGET = "unit"
@@ -224,15 +221,11 @@ def bounded_search(
     constant term, values ordered by (re, im).  A search space of more
     than DEFAULT_CEILING tuples raises SearchSpaceError.
 
-    Each leaf is decided from exact Gaussian-integer values.  A filter
-    evaluates the substituted relation at one integer point (zero target:
-    the value must be 0) or two (unit target: the values must be equal and
-    nonzero).  A leaf that passes is decided exactly at deg + 1 distinct
-    points, where deg = max over terms of sum_i e_i*d_i bounds the degree
-    of the substituted relation: a polynomial of degree <= deg that
-    vanishes, or takes one value, at deg + 1 points is zero, or that
-    constant.  The hit is then re-verified with exact polynomial
-    arithmetic before being reported.
+    A filter evaluates the substituted relation on exact Gaussian-integer
+    values at one integer point (zero target: the value must be 0) or two
+    (unit target: the values must be equal and nonzero).  A leaf that
+    passes is decided by exact substitution with verify_parametrization;
+    the first tuple it accepts is the hit.
     """
     bounds = problem.degree_bounds
     if not bounds:
@@ -263,7 +256,6 @@ def bounded_search(
     terms = list(zip(relation.terms, _integral(list(relation.terms.values()))))
     want_zero = problem.constraint == HOMOGENEOUS_ZERO
     points = _FILTER_POINTS[:1] if want_zero else _FILTER_POINTS
-    deg = max(sum(e * d for e, d in zip(exps, bounds)) for exps, _ in terms)
 
     # A slot is one term at one filter point; level i multiplies the slots
     # of the terms that contain its variable.
@@ -290,29 +282,13 @@ def bounded_search(
         for i, d in enumerate(bounds)
     ]
 
-    def exact(chosen: list[tuple[GaussianInt, ...]]) -> bool:
-        """Decide the tuple from its values at the deg + 1 points 0..deg."""
-        totals = []
-        for x in range(deg + 1):
-            at = [_value_at(vector, x) for vector in chosen]
-            total_re = total_im = 0
-            for exps, (re, im) in terms:
-                for z, e in zip(at, exps):
-                    if e:
-                        vr, vi = gaussian_pow(z, e)
-                        re, im = re * vr - im * vi, re * vi + im * vr
-                total_re += re
-                total_im += im
-            totals.append((total_re, total_im))
-        if want_zero:
-            return all(t == (0, 0) for t in totals)
-        return totals[0] != (0, 0) and all(t == totals[0] for t in totals)
-
     chosen: list[tuple[GaussianInt, ...]] = [()] * n
     examined = 0
     last = n - 1
 
-    def leaves(partials: list[GaussianInt], nonconstant_seen: bool) -> bool:
+    def leaves(
+        partials: list[GaussianInt], nonconstant_seen: bool
+    ) -> Optional[tuple[Polynomial, ...]]:
         """Run the last level against fixed partials: sum the slots it
         leaves alone once, then add each row's products."""
         nonlocal examined
@@ -338,11 +314,14 @@ def bounded_search(
             if not (nonconstant_seen or nonconstant or allow_constant):
                 continue
             chosen[last] = vector
-            if exact(chosen):
-                return True
-        return False
+            found = tuple(_vector_to_polynomial(vec, variable) for vec in chosen)
+            if verify_parametrization(problem, found).ok:
+                return found
+        return None
 
-    def descend(i: int, partials: list[GaussianInt], nonconstant_seen: bool) -> bool:
+    def descend(
+        i: int, partials: list[GaussianInt], nonconstant_seen: bool
+    ) -> Optional[tuple[Polynomial, ...]]:
         if i == last:
             return leaves(partials, nonconstant_seen)
         level = tables[i] if tables[i] is not None else rows(i)
@@ -352,17 +331,14 @@ def bounded_search(
                 pr, pi = below[s]
                 below[s] = (pr * vr - pi * vi, pr * vi + pi * vr)
             chosen[i] = vector
-            if descend(i + 1, below, nonconstant_seen or nonconstant):
-                return True
-        return False
+            found = descend(i + 1, below, nonconstant_seen or nonconstant)
+            if found is not None:
+                return found
+        return None
 
-    if descend(0, [coeff for _, coeff in terms for _ in points], False):
-        found = tuple(_vector_to_polynomial(vec, variable) for vec in chosen)
-        check = verify_parametrization(problem, found)
-        if not check.ok:
-            raise InternalInvariantError("search hit failed exact re-verification")
-        return SearchOutcome(status=FOUND, candidates=found, examined=examined)
-    return SearchOutcome(status=NONE_WITHIN_BOUNDS, candidates=None, examined=examined)
+    found = descend(0, [coeff for _, coeff in terms for _ in points], False)
+    status = NONE_WITHIN_BOUNDS if found is None else FOUND
+    return SearchOutcome(status=status, candidates=found, examined=examined)
 
 
 def _vector_to_polynomial(

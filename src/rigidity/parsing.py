@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import add
 from typing import Optional, Sequence
 
-from .gauss import ONE, I, GaussianRational
+from .gauss import ONE, I, GaussianRational, decimal
 from .poly import ExponentVector, Polynomial
 
 #: Deepest parenthesis nesting the parser accepts.  The parser recurses a few
@@ -235,8 +235,8 @@ def parse_poly(
 
 def _format_magnitude(value: Fraction, imaginary: bool) -> str:
     if imaginary:
-        return "i" if value == 1 else f"{value}i"
-    return str(value)
+        return "i" if value == 1 else f"{decimal(value)}i"
+    return decimal(value)
 
 
 def _format_coefficient(coeff: GaussianRational, has_monomial: bool) -> tuple[str, str]:
@@ -259,13 +259,17 @@ def _format_coefficient(coeff: GaussianRational, has_monomial: bool) -> tuple[st
     inner = coeff if coeff.re > 0 else -coeff
     im_sign = "+" if inner.im > 0 else "-"
     body = (
-        f"({inner.re}{im_sign}{_format_magnitude(abs(inner.im), imaginary=True)})"
+        f"({decimal(inner.re)}{im_sign}{_format_magnitude(abs(inner.im), imaginary=True)})"
     )
     return sign, body
 
 
 def format_poly(p: Polynomial) -> str:
-    """Canonical text form: graded-lex descending, explicit '*', '^'."""
+    """Canonical text form: graded-lex descending, explicit '*', '^'.
+
+    Every coefficient is printed in full; the text parses back only when each
+    literal in it fits the parser's limit on integer literal length.
+    """
     if p.is_zero:
         return "0"
     pieces: list[str] = []

@@ -168,6 +168,32 @@ def test_non_ascii_digit_or_overlong_literal_is_a_parse_error(relation, column, 
     assert error["message"].endswith(f"(line 1, column {column})")
 
 
+def test_coefficients_past_the_str_digit_limit_are_printed(capsys):
+    code = main(["param-verify", "--relation", "X^10000", "--vars", "X",
+                 "--sub", "X=10*S", "--json", "--deterministic"])
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["residual"] == "1" + "0" * 10000 + "*S^10000"
+    big = "1" + "0" * 2999
+    code = main(["classify", "--relation", f"{big}*{big}*X^2 + Y^2 + Z^3",
+                 "--json", "--deterministic"])
+    assert code == 0
+    notes = json.loads(capsys.readouterr().out)["result"]["notes"]
+    assert notes[0].startswith("term coefficients (1" + "0" * 5998 + ",")
+
+
+@pytest.mark.parametrize(
+    "pattern,params",
+    [("minimason", "a=2,a=1,b=3"), ("ex1", "d1=2,D1=3,d2=5,d3=7")],
+)
+def test_repeated_obstruction_parameter_exits_1(pattern, params, capsys):
+    code = main(["obstruct", "--pattern", pattern, "--params", params,
+                 "--json", "--deterministic"])
+    assert code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert "given twice" in error["message"]
+
+
 def test_unknown_obstruction_pattern_exits_1(capsys):
     code = main(
         ["obstruct", "--pattern", "nosuch", "--params", "a=1", "--json", "--deterministic"]
@@ -261,8 +287,13 @@ def test_corrupt_witness_reverification_exits_2(monkeypatch, capsys):
     assert "failed nilpotency certification" in payload["error"]["message"]
 
 
-def test_search_hit_failing_reverification_exits_2(monkeypatch, capsys):
+def test_search_decides_hits_by_substitution(monkeypatch, capsys):
+    # X^2 + Y^2 has a hit at 21 leaves; when the exact substitution refuses
+    # every leaf that passes the integer-point filter, no hit is reported.
+    seen = []
+
     def refuse(problem, candidates):
+        seen.append(candidates)
         return oracle.ParametrizationCheck(ok=False, residual=candidates[0])
 
     monkeypatch.setattr(oracle, "verify_parametrization", refuse)
@@ -271,14 +302,13 @@ def test_search_hit_failing_reverification_exits_2(monkeypatch, capsys):
          "--coeff-window", "1", "--gaussian", "--json", "--deterministic"]
     )
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == 0
     assert captured.err == ""
-    payload = json.loads(captured.out)
-    assert payload["command"] == "search"
-    assert payload["error"] == {
-        "type": "internal_invariant",
-        "message": "search hit failed exact re-verification",
-    }
+    result = json.loads(captured.out)["result"]
+    assert result["status"] == "NoneWithinBounds"
+    assert result["candidates"] is None
+    assert result["examined"] > 21
+    assert seen
 
 
 def test_inexact_gcd_division_exits_2(monkeypatch, capsys):

@@ -9,9 +9,7 @@ from rigidity import (
     FamilyDescriptor,
     Polynomial,
     classify,
-    danielewski_like,
     fermat_3,
-    fermat_n,
     gens,
     mixed_four,
     parse_poly,
@@ -20,6 +18,14 @@ from rigidity import (
     three_term_xy,
 )
 from rigidity.gauss import gq
+
+
+XYZ = ("X", "Y", "Z")
+XYZT = ("X", "Y", "Z", "T")
+
+
+def recognized(text, variables):
+    return recognize_family(parse_poly(text, variables))
 
 
 def assert_sound_witness(verdict, max_steps=None):
@@ -120,14 +126,6 @@ def test_constructor_validation():
         three_term_xy(2, 3, 5, coefficients=(0, 1))
     with pytest.raises(ValueError):
         fermat_3(0, 2, 3)
-    with pytest.raises(ValueError):
-        fermat_n((2, 3, 5))  # needs at least four
-    with pytest.raises(ValueError):
-        danielewski_like(3, (1,))  # constant tail
-    with pytest.raises(ValueError):
-        danielewski_like(0, (1, 1))
-    with pytest.raises(ValueError):
-        danielewski_like(3, (1, 1), head_coefficient=0)
 
 
 def test_mixed_four_constructor_swaps():
@@ -285,18 +283,18 @@ def test_mixed_four_near_leftovers_are_decided():
 
 
 def test_fermat_n_exponent_one():
-    v = classify(fermat_n((1, 3, 3, 3)))
+    v = classify(recognized("X + Y^3 + Z^3 + T^3", XYZT))
     assert_sound_witness(v)
 
 
 def test_fermat_n_two_squares():
-    v = classify(fermat_n((2, 2, 5, 7)))
+    v = classify(recognized("X^2 + Y^2 + Z^5 + T^7", XYZT))
     assert_sound_witness(v)
     assert v.citation.startswith("derived witness: two quadratic slots")
 
 
 def test_fermat_n_cb4_rigid():
-    v = classify(fermat_n((2, 3, 5, 7)))
+    v = classify(recognized("X^2 + Y^3 + Z^5 + T^7", XYZT))
     assert v.status == "Rigid"
     assert v.citation.startswith("Theorem CB4")
     assert any("ordering" in note for note in v.notes)
@@ -306,19 +304,20 @@ def test_fermat_n_reciprocal_sum_rule():
     # no CB4 ordering works for (2, 3, 7, 42), and the reciprocal sum is
     # 1/2 + 1/3 + 1/7 + 1/42 = 1 > 1/2, so that rule fails too -> Unknown,
     # with the rule trace recorded in the notes
-    v = classify(fermat_n((2, 3, 7, 42)))
+    v = classify(recognized("X^2 + Y^3 + Z^7 + T^42", XYZT))
     assert v.status == "Unknown"
     assert any(note.startswith("CB4:") for note in v.notes)
     assert any(note.startswith("EX1:") for note in v.notes)
     # (8, 8, 9, 11): the repeated 8 rules out every CB4 ordering, but
     # 1/8 + 1/8 + 1/9 + 1/11 = 179/396 <= 1/2 with gcd 1
-    rigid = classify(fermat_n((8, 8, 9, 11)))
+    rigid = classify(recognized("X^8 + Y^8 + Z^9 + T^11", XYZT))
     assert rigid.status == "Rigid"
 
 
 def test_fermat_n_five_variables_unknown():
     # n = 5: CB4 does not apply, reciprocal sum 5/4 > 1/3
-    v = classify(fermat_n((4, 4, 4, 4, 4)))
+    names = ("X1", "X2", "X3", "X4", "X5")
+    v = classify(recognized("X1^4 + X2^4 + X3^4 + X4^4 + X5^4", names))
     assert v.status == "Unknown"
 
 
@@ -328,26 +327,27 @@ def test_fermat_n_five_variables_unknown():
 
 
 def test_danielewski_rigid_small_tail():
-    v = classify(danielewski_like(3, (1, 1, 1, 1, 1)))  # deg P = 4 = (d-1)^2
+    # deg P = 4 = (d-1)^2
+    v = classify(recognized("X^3*Y + Z^3 + Z^3*Y + Z^3*Y^2 + Z^3*Y^3 + Z^3*Y^4", XYZ))
     assert v.status == "Rigid"
     assert v.citation.startswith("Theorem EX2t")
 
 
 def test_danielewski_out_of_scope_when_tail_vanishes_at_zero():
-    v = classify(danielewski_like(3, (0, 1, 1)))
+    v = classify(recognized("X^3*Y + Z^3*Y + Z^3*Y^2", XYZ))
     assert v.status == "OutOfScope"
 
 
 def test_danielewski_monomial_tail_rigid():
     # P = 1 + y^5, d = 2: deg P = 5 > 1 = (d-1)^2, but Q = y^4 is a monomial
-    v = classify(danielewski_like(2, (1, 0, 0, 0, 0, 1)))
+    v = classify(recognized("X^2*Y + Z^2 + Z^2*Y^5", XYZ))
     assert v.status == "Rigid"
     assert v.citation.startswith("Lemma MiniMason")
 
 
 def test_danielewski_open_beyond_rules():
     # P = 1 + y + y^5, d = 2: tail Q = 1 + y^4 is not a monomial
-    v = classify(danielewski_like(2, (1, 1, 0, 0, 0, 1)))
+    v = classify(recognized("X^2*Y + Z^2 + Z^2*Y + Z^2*Y^5", XYZ))
     assert v.status == "Unknown"
 
 
@@ -449,7 +449,7 @@ def test_fermat_4_table_small_exponents():
         for b in range(a, 7):
             for c in range(b, 7):
                 for d in range(c, 7):
-                    v = classify(fermat_n((a, b, c, d)))
+                    v = classify(recognized(f"X^{a} + Y^{b} + Z^{c} + T^{d}", XYZT))
                     assert v.status == independent_fermat_4((a, b, c, d)), (
                         a,
                         b,
@@ -534,15 +534,15 @@ def test_citation_strings_are_stable():
         "Remark Leftover: rigidity is open for the patterns"
         " X^(6k)*Y^3 + Z^2 + T^4 and X^(6k)*Y^2 + Z^3 + T^3"
     )
-    assert classify(fermat_n((2, 3, 5, 7))).citation == (
+    assert classify(recognized("X^2 + Y^3 + Z^5 + T^7", XYZT)).citation == (
         "Theorem CB4: rigid when gcd(a*b, c) = gcd(a*b*c, d) = 1 and"
         " gcd(a, b) is neither a nor b"
     )
-    assert classify(fermat_n((8, 8, 9, 11))).citation == (
+    assert classify(recognized("X^8 + Y^8 + Z^9 + T^11", XYZT)).citation == (
         "Lemma EX1: rigid when every exponent is >= 2, the exponents have"
         " gcd 1, and the reciprocal sum is at most 1/(n-2)"
     )
-    assert classify(danielewski_like(3, (1, 1))).citation == (
+    assert classify(recognized("X^3*Y + Z^3 + Z^3*Y", XYZ)).citation == (
         "Theorem EX2t: X^d*Y + Z^d*P(Y) with P(0) != 0, d >= 2 and"
         " deg(P) <= (d-1)^2 defines a rigid ring"
     )
@@ -600,16 +600,6 @@ def test_round_trip_recognition_preserves_verdicts():
         mixed_four(3, 2, 5, 1, coefficients=(gq(1, 1), 2, gq(0, 3))),
         mixed_four(
             2, 5, 4, 3, variables=("T", "Z", "Y", "X"), coefficients=(gq(2, 1), 3, gq(0, -1))
-        ),
-        fermat_n((2, 3, 5, 7)),
-        fermat_n(
-            (3, 2, 5, 2),
-            variables=("T", "X", "Z", "Y"),
-            coefficients=(gq(1, 2), 1, -1, gq(0, 1)),
-        ),
-        danielewski_like(3, (1, 1, 1)),
-        danielewski_like(
-            3, (2, gq(0, 1), 1), variables=("Y", "Z", "X"), head_coefficient=gq(3, -1)
         ),
     ]
     for descriptor in cases:

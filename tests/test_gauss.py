@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rigidity import GaussianRational
-from rigidity.gauss import I, ONE, ZERO, gq
+from rigidity.gauss import I, ONE, ZERO, decimal, gq
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -211,3 +211,19 @@ def test_pickle_round_trip():
     b = pickle.loads(pickle.dumps(a))
     assert b == a and type(b) is GaussianRational
     assert_triple(b)
+
+
+@pytest.mark.parametrize("length", [1, 4300, 4301, 9000, 20000])
+def test_decimal_prints_ints_past_the_str_digit_limit(length):
+    rng = random.Random(length)
+    text = str(rng.randint(1, 9)) + "".join(
+        str(rng.randint(0, 9)) for _ in range(length - 1)
+    )
+    n = 0
+    for start in range(0, length, 1000):  # int() refuses long text too
+        chunk = text[start:start + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    assert decimal(n) == text
+    assert decimal(-n) == "-" + text
+    assert decimal(Fraction(-1, n)) == "-1/" + text
+    assert decimal(Fraction(-3, 4)) == str(Fraction(-3, 4))

@@ -259,6 +259,13 @@ def test_obstruction_check_dispatch():
         obstruction_check("ex1", {"a": 2, "b": 3})
 
 
+def test_obstruction_check_rejects_keys_equal_after_lowercasing():
+    with pytest.raises(ValueError, match="lowercasing"):
+        obstruction_check("ex1", {"d1": 2, "D1": 3, "d2": 5, "d3": 7})
+    with pytest.raises(ValueError, match="lowercasing"):
+        obstruction_check("minimason", {"a": 2, "A": 1, "b": 3})
+
+
 def test_not_obstructed_detail_shows_failed_inequality():
     verdict = check_extended_mini_mason(3, 3, 4)
     assert "5" in verdict.detail and "4" in verdict.detail

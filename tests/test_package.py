@@ -1,6 +1,8 @@
 """The package surface: the export list in rigidity/__init__.py is sound."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import rigidity
 
@@ -19,3 +21,19 @@ def test_export_list_has_no_duplicates():
 def test_every_export_resolves_on_the_package():
     missing = [name for name in rigidity.__all__ if not hasattr(rigidity, name)]
     assert missing == []
+
+
+def test_every_public_name_is_reached():
+    """Each export is used by the package itself or by the acceptance
+    tests; a name that only other tests reach is not public surface."""
+    package = Path(rigidity.__file__).parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    sources.append(Path(__file__).parent / "test_acceptance.py")
+    used: set[str] = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(rigidity.__all__) - used) == []
