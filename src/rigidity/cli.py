@@ -265,7 +265,12 @@ def cmd_obstruct(args: argparse.Namespace) -> dict:
         except ValueError:
             raise CliInputError(f"--params: {value!r} is not an integer") from None
     verdict = obstruction_check(args.pattern, params)
-    return {"status": verdict.status, "rule": verdict.rule, "detail": verdict.detail}
+    return {
+        "status": verdict.status,
+        "rule": verdict.rule,
+        "detail": verdict.detail,
+        "scope": verdict.scope,
+    }
 
 
 def cmd_param_verify(args: argparse.Namespace) -> dict:

@@ -3,9 +3,12 @@
 distinct_root_count computes N(h), the number of distinct roots in the
 algebraic closure, via the gcd formula (valid in characteristic zero).
 mason_check verifies the hypotheses of the generalized n-term inequality and
-evaluates both degree bounds.  obstruction_check packages the closed-form
-arithmetic certificates that rule out nonconstant parametrizations for the
-supported exponent patterns.
+evaluates both degree bounds.  It counts N(f1*...*fn) from the entries with
+N(A*f) = N(A) + N(f) - N(gcd(A, f)), one gcd of the running product with
+each later entry, so the full product's derivative is never formed; the
+identity is exact for every tuple, coprime or not.  obstruction_check
+packages the closed-form arithmetic certificates that rule out nonconstant
+parametrizations for the supported exponent patterns.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ MAX_TUPLE_LENGTH = 12
 OBSTRUCTED = "Obstructed"
 NOT_OBSTRUCTED = "NotObstructed"
 HYPOTHESIS_NOT_MET = "HypothesisNotMet"
+COPRIME_SCOPE = "pairwise coprime entries, not all constant"
 
 
 def distinct_root_count(h: Polynomial) -> int:
@@ -71,6 +75,12 @@ def mason_check(fs: Sequence[Polynomial]) -> MasonReport:
     Structural preconditions (length, nonzero entries, zero sum) raise;
     a zero-sum subset with nonunit gcd is reported via hypotheses_ok=False
     rather than raised, since that is a finding about the tuple.
+
+    distinct_roots_product is N(f1*...*fn), folded over the entries as
+    N(A*f) = N(A) + N(f) - N(gcd(A, f)) with A = f1*...*f(k-1), f = fk.  The
+    roots of gcd(A, f) are exactly the roots A and f share, so the count is
+    exact without coprimality; the tuples that violate the hypotheses get
+    their true N(product) too.  The product's derivative is never formed.
     """
     fs = list(fs)
     n = len(fs)
@@ -111,10 +121,12 @@ def mason_check(fs: Sequence[Polynomial]) -> MasonReport:
 
     degrees = [f.degree_in(var) if var is not None else 0 for f in fs]
     roots_each = tuple(distinct_root_count(f) for f in fs)
-    product = fs[0]
-    for f in fs[1:]:
-        product = product * f
-    roots_product = distinct_root_count(product)
+    running = fs[0]
+    roots_product = roots_each[0]
+    for i in range(1, n):
+        roots_product += roots_each[i] - distinct_root_count(gcd_univariate(running, fs[i]))
+        if i < n - 1:
+            running = running * fs[i]
     max_degree = max(degrees)
     bound_product = (n - 1) * (n - 2) // 2 * roots_product
     bound_sum = (n - 2) * sum(roots_each)
@@ -141,7 +153,9 @@ class ObstructionVerdict:
     zero-target patterns (doublemason, ex1) the claim covers only tuples
     whose entries are pairwise coprime and not all constant, the
     Mason-Stothers hypothesis: both shapes are weighted homogeneous, so
-    entries sharing a common factor can solve them.
+    entries sharing a common factor can solve them.  scope names that
+    restriction (COPRIME_SCOPE); it is None for the nonzero-constant
+    targets, where a common factor would divide the constant.
     NotObstructed: the inequality fails - the certificate is silent, which
     proves nothing about existence.  HypothesisNotMet: a structural
     hypothesis (not the inequality) fails.
@@ -150,6 +164,7 @@ class ObstructionVerdict:
     status: str
     rule: str
     detail: str
+    scope: str | None = None
 
     @property
     def obstructed(self) -> bool:
@@ -220,10 +235,12 @@ def check_double_mason(a: int, b: int, c: int, d: int) -> ObstructionVerdict:
     total = Fraction(1, b) + Fraction(1, c) + Fraction(1, d)
     if total <= 1:
         return ObstructionVerdict(
-            OBSTRUCTED, "doublemason", f"1/{b} + 1/{c} + 1/{d} = {total} <= 1"
+            OBSTRUCTED, "doublemason", f"1/{b} + 1/{c} + 1/{d} = {total} <= 1",
+            COPRIME_SCOPE,
         )
     return ObstructionVerdict(
-        NOT_OBSTRUCTED, "doublemason", f"1/{b} + 1/{c} + 1/{d} = {total} > 1"
+        NOT_OBSTRUCTED, "doublemason", f"1/{b} + 1/{c} + 1/{d} = {total} > 1",
+        COPRIME_SCOPE,
     )
 
 
@@ -238,21 +255,24 @@ def check_fermat_sum(ds: Sequence[int]) -> ObstructionVerdict:
     n = len(ds)
     if any(d < 2 for d in ds):
         return ObstructionVerdict(
-            HYPOTHESIS_NOT_MET, "ex1", f"every exponent must be >= 2; got {ds}"
+            HYPOTHESIS_NOT_MET, "ex1", f"every exponent must be >= 2; got {ds}",
+            COPRIME_SCOPE,
         )
     g = gcd(*ds)
     if g != 1:
         return ObstructionVerdict(
-            HYPOTHESIS_NOT_MET, "ex1", f"gcd{ds} = {g} != 1"
+            HYPOTHESIS_NOT_MET, "ex1", f"gcd{ds} = {g} != 1", COPRIME_SCOPE
         )
     total = sum(Fraction(1, d) for d in ds)
     bound = Fraction(1, n - 2)
     if total <= bound:
         return ObstructionVerdict(
-            OBSTRUCTED, "ex1", f"sum of reciprocals {total} <= 1/(n-2) = {bound}"
+            OBSTRUCTED, "ex1", f"sum of reciprocals {total} <= 1/(n-2) = {bound}",
+            COPRIME_SCOPE,
         )
     return ObstructionVerdict(
-        NOT_OBSTRUCTED, "ex1", f"sum of reciprocals {total} > 1/(n-2) = {bound}"
+        NOT_OBSTRUCTED, "ex1", f"sum of reciprocals {total} > 1/(n-2) = {bound}",
+        COPRIME_SCOPE,
     )
 
 

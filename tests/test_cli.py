@@ -509,6 +509,16 @@ def test_exponent_at_the_cap_parses(capsys):
     assert payload["result"]["top_part"] == f"X^{MAX_EXPONENT}"
 
 
+def test_mason_counts_product_roots_at_the_cap(capsys):
+    # N((S^10000 + 1) * S^10000 * 1) = 10000 + 1, counted from the entries
+    # without differentiating the degree-20000 product.
+    argv = ["mason", "--polys", f"S^{MAX_EXPONENT}+1;-S^{MAX_EXPONENT};-1", "--json"]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["distinct_roots_product"] == MAX_EXPONENT + 1
+    assert result["distinct_roots_each"] == [MAX_EXPONENT, 1, 0]
+
+
 @pytest.mark.parametrize(
     "argv,column",
     [
@@ -561,6 +571,25 @@ def test_ex1_shape_has_a_non_coprime_solution(capsys):
     assert main(["obstruct", "--pattern", "ex1", "--params", "d1=2,d2=3,d3=7",
                  "--json", "--deterministic"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["status"] == "Obstructed"
+
+
+@pytest.mark.parametrize(
+    "pattern, params, scope",
+    [
+        ("ex1", "d1=2,d2=3,d3=7", "pairwise coprime entries, not all constant"),
+        ("doublemason", "a=1,b=1,c=1,d=1", "pairwise coprime entries, not all constant"),
+        ("twistedmason", "a=2,b=2,c=2", None),
+        ("extendedminimason", "a=1,b=1,degq=3", None),
+    ],
+)
+def test_obstruct_payload_names_the_scope_of_the_certificate(pattern, params, scope, capsys):
+    # A zero target needs coprime entries; a nonzero-constant target makes
+    # any common factor a unit, so its certificate carries no scope.
+    assert main(["obstruct", "--pattern", pattern, "--params", params,
+                 "--json", "--deterministic"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["rule"] == pattern
+    assert result["scope"] == scope
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ from rigidity import (
     make_derivation,
     pattern_irreducible,
     probe_nilpotency,
-    gcd_univariate,
 )
 from rigidity.gauss import gq
 from rigidity.poly import MINUS_INF
 
-from helpers import nonzero_random_poly, random_poly, random_scalar, to_sympy
+from helpers import random_poly, random_scalar, to_sympy
 
 XY = ("X", "Y")
 Xp, Yp = gens(*XY)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from rigidity import (
     Polynomial,
@@ -19,7 +20,7 @@ import rigidity.mason as mason_module
 from rigidity.mason import MAX_TUPLE_LENGTH
 from rigidity.poly import NotUnivariateError
 
-from helpers import nonzero_random_poly
+from helpers import nonzero_random_poly, to_sympy
 
 S, = gens("S")
 ONE = Polynomial.constant(("S",), 1)
@@ -135,16 +136,57 @@ def test_mason_check_gcd_fold_stops_at_a_constant(monkeypatch):
         return real_gcd(p, q)
 
     monkeypatch.setattr(mason_module, "gcd_univariate", counting_gcd)
-    # A coprime triple: one gcd for the only zero-sum subset, then one per
-    # root count (three entries and their product).
+    # A coprime triple: one gcd for the only zero-sum subset, one per entry's
+    # root count, and one per later entry in the product-root fold, whose
+    # gcds are constant and so cost no root count of their own.
     report = mason_check([S**3 + 2, -(S**3) + S, -S - 2])
     assert report.hypotheses_ok
-    assert len(calls) == 1 + 4
+    assert len(calls) == 1 + 3 + 2
     calls.clear()
-    # gcd(S, S^2) = S is not constant, so the fold goes on to the third entry.
+    # gcd(S, S^2) = S is not constant, so the hypothesis fold goes on to the
+    # third entry.  Both product-fold gcds are S, and each costs one more
+    # call for its own root count.
     report = mason_check([S, S**2, -S - S**2])
     assert report.violation == "zero-sum subset (1, 2, 3) has nonconstant gcd of degree 1"
-    assert len(calls) == 2 + 4
+    assert len(calls) == 2 + 3 + 2 * 2
+
+
+def _shared_factor_tuple(rng):
+    """A zero-sum tuple of length 3 to 5 whose entries are scalar multiples
+    of products of one or two factors from a pool of three, some squared,
+    so that entries share factors; the last entry closes the sum."""
+    pool = [nonzero_random_poly(rng, ("S",), max_terms=3, max_exp=2, span=3) for _ in range(3)]
+    entries = []
+    for _ in range(rng.randint(2, 4)):
+        f = nonzero_random_poly(rng, ("S",), max_terms=1, max_exp=0, span=3)
+        for base in rng.sample(pool, rng.randint(1, 2)):
+            f = f * base ** rng.randint(1, 2)
+        entries.append(f)
+    last = -entries[0]
+    for f in entries[1:]:
+        last = last - f
+    return entries + [last]
+
+
+def test_product_root_count_on_tuples_with_shared_and_repeated_factors():
+    rng = random.Random(2024)
+    sym = sympy.Symbol("S")
+    checked = violations = 0
+    while checked < 60:
+        fs = _shared_factor_tuple(rng)
+        if fs[-1].is_zero:
+            continue
+        report = mason_check(fs)
+        product = fs[0]
+        for f in fs[1:]:
+            product = product * f
+        assert report.distinct_roots_product == distinct_root_count(product), fs
+        square_free = sympy.Poly(to_sympy(product), sym, domain="QQ_I").sqf_part()
+        assert report.distinct_roots_product == square_free.degree(), fs
+        violations += not report.hypotheses_ok
+        checked += 1
+    # Tuples on both sides of the Mason-Stothers hypotheses were checked.
+    assert 10 <= violations <= 50
 
 
 def test_mason_inequalities_hold_on_random_coprime_triples():

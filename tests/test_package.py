@@ -1,4 +1,5 @@
-"""The package surface: the export list in rigidity/__init__.py is sound."""
+"""The package surface: the export list in rigidity/__init__.py is sound,
+and no module or test imports a name it never uses."""
 
 import ast
 from collections import Counter
@@ -37,3 +38,24 @@ def test_every_public_name_is_reached():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(rigidity.__all__) - used) == []
+
+
+def test_no_unused_imports():
+    """Every name bound by an import in a module (bar the re-exporting
+    __init__.py) or a test file is referenced as a Name, which covers the
+    base of an Attribute."""
+    package = Path(rigidity.__file__).parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted(Path(__file__).parent.glob("*.py"))
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert unused == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from rigidity import (
     InternalInvariantError,
@@ -14,7 +14,7 @@ from rigidity import (
     gcd_univariate,
     gens,
 )
-from rigidity.gauss import GaussianRational, gq
+from rigidity.gauss import gq
 import rigidity.poly as poly_module
 from rigidity.poly import MINUS_INF, grlex_key, monomial_divides
 
