@@ -8,14 +8,14 @@ a descriptor to a :class:`Verdict` via a fixed rule table.
 Every NotRigid verdict ships with a machine-checked witness: the catalog
 derivation is rebuilt on the actual presentation, validated as well-defined
 and nonzero, and certified nilpotent by iteration before the verdict is
-returned.  Apart from a free coordinate and the even twist, each witness
-comes from the relation's partial derivatives by one of two constructions:
-the triangular derivation f_j*d/dk - f_k*d/dj for a variable j of degree 1,
-and the two-squares derivation for c*u^2 + c*v^2 + (terms in w).  The only
-witness that Q(i) may lack, a square root of a coefficient ratio, is
-reported by one helper.  A verdict of Unknown is deliberate: the rule table
-never extrapolates beyond the results it encodes, and the open exponent
-patterns must stay open.
+returned.  Apart from a translation along a free coordinate, every witness
+is a nonzero constant times a Jacobian derivation J(f, g), which kills f, g
+and the other fixed coordinates by construction; one builder makes it from
+the gradients of f and g, so a rule names only g, the free variables and
+the constant.  The only witness that Q(i) may lack, a square root of a
+coefficient ratio, is reported by one helper.  A verdict of Unknown is
+deliberate: the rule table never extrapolates beyond the results it
+encodes, and the open exponent patterns must stay open.
 
 Citations are stable strings (golden-tested); rigidity citations name the
 theorem tag that justifies the rule.
@@ -35,7 +35,7 @@ from .derivation import (
     make_derivation,
     probe_nilpotency,
 )
-from .gauss import GaussianRational, ScalarLike
+from .gauss import I, ONE, GaussianRational, ScalarLike
 from .mason import OBSTRUCTED, check_fermat_sum, check_mini_mason
 from .poly import InternalInvariantError, Polynomial
 from .quotient import RingPresentation
@@ -528,54 +528,64 @@ def _verdict_with_witness(
     )
 
 
-def _triangular(desc: FamilyDescriptor, j: str, k: str, note: str) -> Verdict:
-    """The Jacobian derivation f_j*d/dk - f_k*d/dj, divided by f_j when that
-    is a nonzero constant.
+def _jacobian(
+    desc: FamilyDescriptor, citation: str, free: Names, g: Optional[Polynomial],
+    scale: GaussianRational, note: str,
+) -> Verdict:
+    """scale * J(f, g, the coordinates outside free), certified.
 
-    It kills f for any j and k.  Every caller passes a j in which f has
-    degree 1 with f_j free of k, so D(k) = f_j lies in the kernel and D is
-    triangular, hence locally nilpotent.
+    Two free variables (a, b) and no g give (D(a), D(b)) = (f_b, -f_a);
+    three give the cross product of grad f and grad g restricted to free.
+    D kills f, g and every fixed coordinate by construction; the nilpotency
+    probe is the only certificate.
     """
     f = desc.relation
-    fj, fk = f.diff(j), f.diff(k)
-    if fj.is_constant:
-        images = {k: Polynomial.constant(f.variables, 1), j: -fk * fj.constant_value().inverse()}
+    df = [f.diff(v) for v in free]
+    if g is None:
+        images = {free[0]: df[1] * scale, free[1]: -df[0] * scale}
     else:
-        images = {k: fj, j: -fk}
-    return _verdict_with_witness(desc, CITE_TRIANGULAR, images, note)
+        scaled = g * scale
+        dg = [scaled.diff(v) for v in free]
+        images = {}
+        for i, v in enumerate(free):
+            j, k = (i + 1) % 3, (i + 2) % 3  # D(v) = f_j*g_k - f_k*g_j
+            products = [p * q for p, q in ((df[j], dg[k]), (df[k], -dg[j])) if p and q]
+            images[v] = sum(products[1:], products[0]) if products else Polynomial.zero(f.variables)
+    return _verdict_with_witness(desc, citation, images, note)
+
+
+def _triangular(desc: FamilyDescriptor, j: str, k: str, note: str) -> Verdict:
+    """D(k) = f_j, D(j) = -f_k, divided by f_j when that is a constant.
+
+    Every caller passes a j in which f has degree 1 with f_j free of k, so
+    D(k) lies in the kernel and D is triangular, hence locally nilpotent.
+    """
+    fj = desc.relation.diff(j)
+    scale = fj.constant_value().inverse() if fj.is_constant else ONE
+    return _jacobian(desc, CITE_TRIANGULAR, (k, j), None, scale, note)
 
 
 def _two_squares(
     desc: FamilyDescriptor, citation: str, u: str, v: str, w: str,
     cu: GaussianRational, cv: GaussianRational, note: str,
 ) -> Verdict:
-    """D(u) = -F, D(v) = -i*F, D(w) = u + i*v with F = f_w/(2*cu), for a
-    relation cu*u^2 + cv*v^2 + (terms free of u and v).
+    """J(f, u + i*v)/(2i*cu) for cu*u^2 + cv*v^2 + (terms free of u and v):
+    D(u) = -F, D(v) = -i*F and D(w) = u + i*v with F = f_w/(2*cu).
 
-    When cu = cv, D kills f and u + i*v, and D(u - i*v) = -2*F involves
-    only w and the kernel, so D is triangular in u + i*v, w, u - i*v.  When
-    cu != cv the witness needs a square root of cv/cu and is withheld.
+    When cu = cv, D(u - i*v) = -2*F involves only w and the kernel, so D is
+    triangular in u + i*v, w, u - i*v.  When cu != cv the witness needs a
+    square root of cv/cu and is withheld.
     """
     if cu != cv:
         return _withheld(desc, citation, note, cv / cu)
-    f = desc.relation
-    big_f = f.diff(w) * (cu * 2).inverse()
-    images = {
-        u: -big_f,
-        v: big_f * GaussianRational(0, -1),
-        w: Polynomial.variable(f.variables, u) + _mono(f.variables, GaussianRational(0, 1), {v: 1}),
-    }
-    return _verdict_with_witness(desc, citation, images, note)
+    g = Polynomial.variable(desc.variables, u) + _mono(desc.variables, I, {v: 1})
+    return _jacobian(desc, citation, (u, v, w), g, (cu * GaussianRational(0, 2)).inverse(), note)
 
 
-def _withheld(
-    desc: FamilyDescriptor, citation: str, prefix: str, ratio: GaussianRational
-) -> Verdict:
+def _withheld(desc: FamilyDescriptor, citation: str, prefix: str, ratio: GaussianRational) -> Verdict:
     """NotRigid without a witness: the catalog witness needs sqrt(ratio)."""
     return _verdict(
-        desc,
-        NOT_RIGID,
-        citation,
+        desc, NOT_RIGID, citation,
         f"{prefix}, but the catalog witness needs a square root of the coefficient"
         f" ratio {ratio}, which is not available in Q(i) in general",
     )
@@ -586,9 +596,7 @@ def _classify_three_term(d: FamilyDescriptor) -> Verdict:
     x, y, z = d.roles
     if d.relation is None:
         return _verdict(
-            d,
-            NOT_RIGID,
-            CITE_DEGENERATE,
+            d, NOT_RIGID, CITE_DEGENERATE,
             "all exponents are zero, so the relation collapses to a constant;"
             " the quotient is a full polynomial ring and every coordinate"
             " derivation is a nonzero locally nilpotent derivation, but no"
@@ -609,9 +617,7 @@ def _classify_three_term(d: FamilyDescriptor) -> Verdict:
     g = gcd(gcd(a, b), c)
     if g > 1:
         return _verdict(
-            d,
-            RIGID,
-            CITE_CASE1,
+            d, RIGID, CITE_CASE1,
             f"exponent gcd {g} > 1: the hypersurface is not a domain, and the"
             " same theorem covers it",
         )
@@ -641,7 +647,6 @@ def _leftover_pattern(a: int, b: int, c: int, d: int) -> bool:
 
 def _classify_mixed_four(desc: FamilyDescriptor) -> Verdict:
     a, b, c, d = desc.exponents
-    variables = desc.variables
     x, y, z, t = desc.roles
     alpha, beta, gamma = desc.coefficients
     if b == 1:
@@ -654,15 +659,9 @@ def _classify_mixed_four(desc: FamilyDescriptor) -> Verdict:
         # After canonicalization c <= d, the exponent-2 pure slot is z.
         if alpha != beta:
             return _withheld(desc, CITE_EVEN_TWIST, "b = 2 with an even a", beta / alpha)
-        half = a // 2
-        images = {
-            y: _mono(variables, gamma * d, {t: d - 1}),
-            z: _mono(variables, gamma * d * GaussianRational(0, -1), {x: half, t: d - 1}),
-            t: _mono(variables, alpha * (-2), {x: a, y: 1})
-            + _mono(variables, alpha * GaussianRational(0, 2), {x: half, z: 1}),
-        }
-        return _verdict_with_witness(
-            desc, CITE_EVEN_TWIST, images, f"b = 2, c = 2 and a = {a} is even"
+        g = _mono(desc.variables, 1, {x: a // 2, y: 1}) + _mono(desc.variables, -I, {z: 1})
+        return _jacobian(
+            desc, CITE_EVEN_TWIST, (y, z, t), g, -I, f"b = 2, c = 2 and a = {a} is even"
         )
     if _leftover_pattern(a, b, c, d):
         return _verdict(desc, UNKNOWN, CITE_LEFTOVER, "open exceptional pattern")
@@ -702,14 +701,15 @@ def _classify_fermat_n(desc: FamilyDescriptor) -> Verdict:
         if perm is not None:
             a, b, c, d = (ds[i] for i in perm)
             return _verdict(
-                desc,
-                RIGID,
-                CITE_CB4,
+                desc, RIGID, CITE_CB4,
                 f"ordering (a,b,c,d) = ({a},{b},{c},{d}) satisfies"
                 f" gcd({a * b},{c}) = gcd({a * b * c},{d}) = 1 and"
                 f" gcd({a},{b}) = {gcd(a, b)}",
             )
         trace.append("CB4: no ordering satisfies the gcd conditions")
+    # EX1 is the paper's lemma on the ring; check_fermat_sum decides its exponent
+    # hypotheses (every d_i >= 2, gcd 1, reciprocal sum <= 1/(n-2)).  Its coprime
+    # scope bounds its own certificate on polynomial solutions, not this verdict.
     sum_rule = check_fermat_sum(list(ds))
     if sum_rule.status == OBSTRUCTED:
         return _verdict(desc, RIGID, CITE_EX1, f"EX1: {sum_rule.detail}")
@@ -721,9 +721,7 @@ def _classify_danielewski(desc: FamilyDescriptor) -> Verdict:
     (d,) = desc.exponents
     if desc.tail is None:
         return _verdict(
-            desc,
-            UNKNOWN,
-            CITE_OPEN,
+            desc, UNKNOWN, CITE_OPEN,
             "the tail is not a polynomial in y alone, so no catalog rule applies",
         )
     p = desc.tail
@@ -736,7 +734,9 @@ def _classify_danielewski(desc: FamilyDescriptor) -> Verdict:
     if d >= 2 and deg_p <= (d - 1) ** 2:
         return _verdict(desc, RIGID, CITE_EX2T, f"deg(P) = {deg_p} <= (d-1)^2 = {(d - 1) ** 2}")
     # P = y*Q(y) + P(0); a monomial Q = c*y^e turns the unit equation into
-    # F^d + c*H^(d+e) = 1, settled by the two-power rule.
+    # F^d + c*H^(d+e) = 1, settled by the two-power rule.  Its target is a
+    # nonzero constant, so a common factor of F and H is a unit: the rule
+    # needs P(0) != 0 and d, d + e >= 2, and no coprime scope.
     monomial_slots = [e for e, cf in enumerate(p[1:]) if not cf.is_zero]
     if len(monomial_slots) == 1 and monomial_slots[0] >= 2:
         e = monomial_slots[0]
@@ -744,9 +744,7 @@ def _classify_danielewski(desc: FamilyDescriptor) -> Verdict:
         if rule.status == OBSTRUCTED:
             return _verdict(desc, RIGID, CITE_MINIMASON, f"tail Q = c*y^{e}: {rule.detail}")
     return _verdict(
-        desc,
-        UNKNOWN,
-        CITE_OPEN,
+        desc, UNKNOWN, CITE_OPEN,
         f"deg(P) = {deg_p} exceeds (d-1)^2 = {(d - 1) ** 2} and the tail is"
         " not a monomial obstruction",
     )

@@ -500,26 +500,48 @@ def _prem(a: list[GaussianInt], b: list[GaussianInt]) -> list[GaussianInt]:
 
     Dense ascending coefficient lists with nonzero leading coefficients and
     len(a) >= len(b) >= 2.  Each step multiplies the remainder by lc(b) and
-    cancels its leading term; steps skipped because the degree fell by more
-    than one are paid by one final scaling.
+    cancels its leading term.  That scaling is deferred: after k steps the
+    true coefficient i is r[i] * lc(b)^(k - touched[i]), so a step pays it
+    only on the deg b coefficients it updates, and one final pass pays the
+    rest, together with the steps skipped because the degree fell by more
+    than one.  The cost is O(deg a * deg b) pair updates.
     """
     r = list(a)
     m = len(b) - 1
     lower = b[:m]
-    lead = l_re, l_im = b[m]
-    owed = len(r) - m  # steps left of the deg a - deg b + 1
+    l_re, l_im = b[m]
+    steps = len(r) - m  # deg a - deg b + 1
+    touched = [0] * len(r)
+    powers = [(1, 0)]  # powers[e] = lc(b)^e, extended on demand
+
+    def power(e: int) -> GaussianInt:
+        while len(powers) <= e:
+            p_re, p_im = powers[-1]
+            powers.append((p_re * l_re - p_im * l_im, p_re * l_im + p_im * l_re))
+        return powers[e]
+
+    k = 0
     while len(r) > m:
+        top = len(r) - 1
         c_re, c_im = r.pop()
-        r = [(x * l_re - y * l_im, x * l_im + y * l_re) for x, y in r]
-        for i, (b_re, b_im) in enumerate(lower, len(r) - m):
+        if k > touched[top]:
+            p_re, p_im = power(k - touched[top])
+            c_re, c_im = c_re * p_re - c_im * p_im, c_re * p_im + c_im * p_re
+        k += 1
+        for i, (b_re, b_im) in enumerate(lower, top - m):
             x_re, x_im = r[i]
-            r[i] = (x_re - c_re * b_re + c_im * b_im, x_im - c_re * b_im - c_im * b_re)
-        owed -= 1
+            p_re, p_im = power(k - touched[i])
+            r[i] = (
+                x_re * p_re - x_im * p_im - c_re * b_re + c_im * b_im,
+                x_re * p_im + x_im * p_re - c_re * b_im - c_im * b_re,
+            )
+            touched[i] = k
         while r and r[-1] == (0, 0):
             r.pop()
-    if owed:
-        scale = gaussian_pow(lead, owed)
-        r = [gaussian_mul(x, scale) for x in r]
+    for i, (x_re, x_im) in enumerate(r):
+        if steps > touched[i]:
+            p_re, p_im = power(steps - touched[i])
+            r[i] = (x_re * p_re - x_im * p_im, x_re * p_im + x_im * p_re)
     return r
 
 

@@ -1,9 +1,12 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 import pytest
+import sympy
 
 from rigidity import (
     FamilyDescriptor,
@@ -18,6 +21,10 @@ from rigidity import (
     three_term_xy,
 )
 from rigidity.gauss import gq
+from rigidity.mason import COPRIME_SCOPE, check_fermat_sum
+from rigidity.parsing import format_poly
+
+from helpers import to_sympy
 
 
 XYZ = ("X", "Y", "Z")
@@ -458,6 +465,64 @@ def test_fermat_4_table_small_exponents():
                     )
 
 
+PINNED_RULE_COUNTS = {
+    ("FermatN", 4, "Theorem CB4"): 9,
+    ("FermatN", 4, "Lemma EX1"): 5,
+    ("FermatN", 4, "open case"): 280,
+    ("FermatN", 5, "Lemma EX1"): 8,
+    ("FermatN", 5, "open case"): 48,
+    ("DanielewskiLike", "Theorem EX2t"): 84,
+    ("DanielewskiLike", "Lemma MiniMason"): 54,
+    ("DanielewskiLike", "open case"): 72,
+}
+
+
+def test_ex1_and_minimason_rigid_verdicts_read_only_the_exponents():
+    # Both rules cite a theorem on the ring.  FermatN's EX1 path needs every
+    # d_i >= 2, gcd 1 and sum 1/d_i <= 1/(n-2); the coprime scope of
+    # check_fermat_sum bounds its certificate on polynomial solutions, not
+    # the verdict.  DanielewskiLike's MiniMason path needs P(0) != 0 and
+    # d, d + e >= 2; its unit equation has a nonzero constant target, so a
+    # common factor is a unit and no scope applies.
+    tally = Counter()
+    for n, box in ((4, range(2, 10)), (5, range(13, 17))):
+        names = tuple(f"X{i}" for i in range(1, n + 1))
+        for ds in combinations_with_replacement(box, n):
+            if ds.count(2) >= 2:
+                continue  # the two-squares witness
+            v = classify(recognized(" + ".join(f"{x}^{e}" for x, e in zip(names, ds)), names))
+            cb4 = n == 4 and any(
+                gcd(a * b, c) == 1 and gcd(a * b * c, d) == 1 and gcd(a, b) not in (a, b)
+                for a, b, c, d in permutations(ds)
+            )
+            ex1 = gcd(*ds) == 1 and sum(Fraction(1, e) for e in ds) <= Fraction(1, n - 2)
+            rule = "Theorem CB4" if cb4 else "Lemma EX1" if ex1 else "open case"
+            assert (v.status, v.citation.split(":")[0]) == (
+                "Unknown" if rule == "open case" else "Rigid", rule
+            ), ds
+            if rule == "Lemma EX1":
+                assert check_fermat_sum(ds).scope == COPRIME_SCOPE
+            tally["FermatN", n, rule] += 1
+    for d in range(1, 6):
+        for k in range(1, 15):
+            for p0, c, linear in (("1", "1", ""), ("-3/2 + 5i", "2 - i", ""), ("1", "1", " + Z^{d}*Y")):
+                text = f"X^{d}*Y + ({p0})*Z^{d} + ({c})*Z^{d}*Y^{k}" + linear.format(d=d)
+                desc = recognized(text, XYZ)
+                assert desc.kind == "DanielewskiLike" and desc.exponents == (d,), text
+                v = classify(desc)
+                if d >= 2 and k <= (d - 1) ** 2:
+                    rule = "Theorem EX2t"
+                elif d >= 2 and k >= 3 and not linear:
+                    rule = "Lemma MiniMason"
+                else:
+                    rule = "open case"
+                assert (v.status, v.citation.split(":")[0]) == (
+                    "Unknown" if rule == "open case" else "Rigid", rule
+                ), text
+                tally["DanielewskiLike", rule] += 1
+    assert tally == PINNED_RULE_COUNTS
+
+
 def test_every_catalog_witness_kills_its_relation_exactly():
     """sum D(x_i)*f_(x_i) is the zero polynomial, not only zero modulo f,
     for every witness over the criterion 01-03 exponent tables with
@@ -477,6 +542,7 @@ def test_every_catalog_witness_kills_its_relation_exactly():
         for a in range(1, 9) for b in range(1, 9) for c in range(1, 9) for d in range(1, 9)
     ]
     witnesses = 0
+    digest = hashlib.sha256()
     for desc in descriptors:
         v = classify(desc)
         if v.status != "NotRigid":
@@ -488,8 +554,56 @@ def test_every_catalog_witness_kills_its_relation_exactly():
             total = total + v.witness.image_of(name).rep * f.diff(name)
         assert total.is_zero, (desc.kind, desc.exponents)
         witnesses += 1
+        images = [format_poly(img.rep) for img in v.witness.images]
+        row = [desc.kind, str(desc.exponents), *images, str(v.witness_report.steps_per_generator)]
+        digest.update((" ".join(row) + "\n").encode())
     # 385 three-term, 43 three-power and 1828 mixed four-variable entries
     assert witnesses == 385 + 43 + 1828
+    # Every image and step count, byte for byte, as the three separate
+    # witness recipes published them before the one Jacobian builder.
+    assert digest.hexdigest() == (
+        "c5b38e812abb98c1c4b36b88f6bb2a81562be429ae7e02f8cf376daa297093ba"
+    )
+
+
+# (relation, kernel elements g, constant c): the published witness is
+# c * J(f, g), where J(f, g)(h) = det d(f, g_1, .., g_(n-2), h)/d(x_1..x_n)
+# in declaration order.  q and r stand for the non-unit coefficients below.
+JACOBIAN_WITNESSES = (
+    ("X + Y^2 + Z^3", ("Z",), "-1"),
+    ("q*X + r*Y^2 + q*Z^3", ("Z",), "-1/q"),
+    ("X*Y^3 + Z^4", ("Y",), "1"),
+    ("q*X*Y^3 + r*Z^4", ("Y",), "1"),
+    ("X^3*Y + Z^3 + T^5", ("X", "T"), "1"),
+    ("q*X^3*Y + r*Z^3 + q*T^5", ("X", "T"), "1"),
+    ("X^2 + Y^2 + Z^5", ("X + I*Y",), "-I/2"),
+    ("q*X^2 + q*Y^2 + r*Z^5", ("X + I*Y",), "-I/(2*q)"),
+    ("X^2*Y^3 + Z^2 + T^2", ("Y", "Z + I*T"), "-I/2"),
+    ("r*X^2*Y^3 + q*Z^2 + q*T^2", ("Y", "Z + I*T"), "-I/(2*q)"),
+    ("X^4*Y^2 + Z^2 + T^3", ("X", "X^2*Y - I*Z"), "I"),
+    ("q*X^4*Y^2 + q*Z^2 + r*T^3", ("X", "X^2*Y - I*Z"), "I"),
+)
+
+
+@pytest.mark.parametrize("relation, kernel, constant", JACOBIAN_WITNESSES)
+def test_catalog_witness_is_a_constant_times_a_jacobian_derivation(relation, kernel, constant):
+    # sympy computes each Jacobian as a determinant, independently of the
+    # cross products the witness builder takes over the free variables.
+    names = XYZT if "T" in relation else XYZ
+    syms = sympy.symbols(names)
+    local = {"q": 2 - sympy.I, "r": sympy.Rational(-3, 2) + 5 * sympy.I, "I": sympy.I}
+    local.update(zip(names, syms))
+    f = sympy.sympify(relation, locals=local)
+    gs = [sympy.sympify(g, locals=local) for g in kernel]
+    c = sympy.sympify(constant, locals=local)
+    text = relation.replace("q", "(2 - i)").replace("r", "(-3/2 + 5i)")
+    verdict = classify(recognized(text, names))
+    assert verdict.status == "NotRigid" and verdict.witness is not None, verdict.notes
+    rows = [[sympy.diff(p, x) for x in syms] for p in (f, *gs)]
+    for name, x in zip(names, syms):
+        jacobian = sympy.Matrix(rows + [[sympy.diff(x, y) for y in syms]]).det()
+        image = to_sympy(verdict.witness.image_of(name).rep)
+        assert sympy.expand(image - c * jacobian) == 0, (relation, name, image, jacobian)
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,38 @@ def test_gcd_after_a_large_degree_gap_keeps_numbers_small(monkeypatch):
     assert max(largest) < 10_000
 
 
+def test_pseudo_remainder_matches_sympy_prem():
+    # The kernel defers the lc(b) scaling of each coefficient until a step
+    # touches it; sympy's prem over ZZ_I scales the whole remainder at every
+    # step.  Odd trials are sparse dividends; even ones are c*S^k*b + r0 with
+    # deg r0 well below k, so the first step drops the degree by several.
+    rng = random.Random(1005)
+    sym = sympy.Symbol("S")
+
+    def gint(span=9):
+        return (rng.randint(-span, span), rng.randint(-span, span))
+
+    def to_poly(pairs):
+        return sympy.Poly([sympy.ZZ_I(re, im) for re, im in reversed(pairs)], sym, domain="ZZ_I")
+
+    for trial in range(48):
+        m = 1 + trial % 3
+        gap = rng.choice([0, 1, 2, 5, 17, 60, 150, 300])
+        b = [gint() for _ in range(m)] + [rng.choice([(1, 0), (-1, 0), (0, 1), (3, -2), gint()])]
+        b[-1] = b[-1] if b[-1] != (0, 0) else (2, 1)
+        if trial % 2:
+            a = [gint() if rng.random() < 0.3 else (0, 0) for _ in range(m + gap)] + [gint()]
+            a[-1] = a[-1] if a[-1] != (0, 0) else (1, 1)
+        else:
+            a = [(0, 0)] * gap + [poly_module.gaussian_mul(x, (5, -3)) for x in b]
+            for i in range(rng.randint(0, max(0, gap + m - 3)) + 1):
+                re, im = gint()
+                a[i] = (a[i][0] + re, a[i][1] + im)
+        ours = poly_module._prem(a, b)
+        assert not ours or ours[-1] != (0, 0)
+        assert to_poly(ours) == to_poly(a).prem(to_poly(b)), (trial, a, b)
+
+
 def test_gaussian_pow_matches_repeated_multiplication():
     for z in [(0, 0), (1, 0), (0, 1), (2, -3), (-5, 7)]:
         power = (1, 0)
