@@ -65,7 +65,6 @@ from .oracle import (
 from .parsing import ParseError, format_poly, parse_poly
 from .poly import (
     InternalInvariantError,
-    NotDivisibleError,
     Polynomial,
     UnknownVariableError,
     VariableMismatchError,
@@ -88,7 +87,6 @@ __all__ = [
     "InternalInvariantError",
     "MasonReport",
     "NilpotencyReport",
-    "NotDivisibleError",
     "ObstructionVerdict",
     "ParametrizationCheck",
     "ParametrizationProblem",

@@ -13,6 +13,7 @@ or any other unexpected exception (the last should never happen).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -236,19 +237,10 @@ def cmd_mason(args: argparse.Namespace) -> dict:
     if any(not piece for piece in pieces):
         raise CliInputError(f"--polys expects 'p1;p2;...', got {args.polys!r}")
     polys = [_parse(piece, (args.var,)) for piece in pieces]
-    report = mason_check(polys)
-    return {
-        "hypotheses_ok": report.hypotheses_ok,
-        "violation": report.violation,
-        "max_degree": report.max_degree,
-        "distinct_roots_each": list(report.distinct_roots_each),
-        "distinct_roots_product": report.distinct_roots_product,
-        "bound_product": report.bound_product,
-        "bound_sum": report.bound_sum,
-        "holds_product": report.holds_product,
-        "holds_sum": report.holds_sum,
-        "all_constant": report.all_constant,
-    }
+    result = dataclasses.asdict(mason_check(polys))
+    # Human output prints a tuple as one scalar; a list gets one line each.
+    result["distinct_roots_each"] = list(result["distinct_roots_each"])
+    return result
 
 
 def cmd_obstruct(args: argparse.Namespace) -> dict:
@@ -264,13 +256,7 @@ def cmd_obstruct(args: argparse.Namespace) -> dict:
             params[name] = int(value)
         except ValueError:
             raise CliInputError(f"--params: {value!r} is not an integer") from None
-    verdict = obstruction_check(args.pattern, params)
-    return {
-        "status": verdict.status,
-        "rule": verdict.rule,
-        "detail": verdict.detail,
-        "scope": verdict.scope,
-    }
+    return dataclasses.asdict(obstruction_check(args.pattern, params))
 
 
 def cmd_param_verify(args: argparse.Namespace) -> dict:
@@ -454,6 +440,14 @@ def _fault_message(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc} ({where})"
 
 
+def _error_payload(command: Optional[str], kind: str, message: str) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "error": {"type": kind, "message": message},
+    }
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
@@ -463,12 +457,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "--json" not in argv:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": argv[0] if argv and argv[0] in parser.commands else None,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _emit(payload, True, sys.stdout)
+        command = argv[0] if argv and argv[0] in parser.commands else None
+        _emit(_error_payload(command, type(exc).__name__, str(exc)), True, sys.stdout)
         return 1
     as_json = getattr(args, "json", False)
     deterministic = getattr(args, "deterministic", False)
@@ -476,19 +466,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         result = args.handler(args)
     except (CliInputError, ParseError, ValueError, ArithmeticError) as exc:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
+        payload = _error_payload(args.command, type(exc).__name__, str(exc))
         _emit(payload, as_json, sys.stderr if not as_json else sys.stdout)
         return 1
     except Exception as exc:  # InternalInvariantError or a fault in the program
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "error": {"type": "internal_invariant", "message": _fault_message(exc)},
-        }
+        payload = _error_payload(args.command, "internal_invariant", _fault_message(exc))
         _emit(payload, as_json, sys.stderr if not as_json else sys.stdout)
         return 2
     payload = {

@@ -21,13 +21,12 @@ ceiling read as they would over Q(i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, le, sub
 from typing import Sequence, Union
 
-from .gauss import GaussianRational, ScalarLike
+from .gauss import ScalarLike
 from .poly import GaussianInt, Polynomial, UnknownVariableError, _integral
 from .quotient import PresentationMismatchError, RingElement, RingPresentation
 
@@ -63,16 +62,6 @@ class Derivation:
         return f"Derivation({pairs})"
 
 
-def _coerce_image(presentation: RingPresentation, value) -> RingElement:
-    if isinstance(value, RingElement):
-        if value.presentation != presentation:
-            raise PresentationMismatchError("image lives in a different quotient ring")
-        return value
-    if isinstance(value, (Polynomial, int, Fraction, GaussianRational)):
-        return presentation.normal_form(value)
-    raise TypeError(f"cannot interpret {value!r} as a ring element")
-
-
 def make_derivation(
     presentation: RingPresentation,
     images: Sequence[Union[RingElement, Polynomial, ScalarLike]],
@@ -82,7 +71,7 @@ def make_derivation(
         raise ValueError(
             f"expected {len(presentation.variables)} images, got {len(images)}"
         )
-    elements = tuple(_coerce_image(presentation, img) for img in images)
+    elements = tuple(presentation.normal_form(img) for img in images)
     relation = presentation.relation
     defect = Polynomial.zero(presentation.variables)
     for name, img in zip(presentation.variables, elements):

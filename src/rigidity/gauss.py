@@ -5,7 +5,9 @@ Every coefficient in this package is a :class:`GaussianRational`.  A value
 ``(re_num, im_num, den)`` with ``den > 0`` and ``gcd(re_num, im_num, den) ==
 1``; zero is ``(0, 0, 1)``.  The triple is unique for each value, so two equal
 scalars always compare and hash equal.  The class is immutable: every
-operation computes on ints and builds a new normalized triple.
+operation reads its operands as triples (an int n is ``(n, 0, 1)``, a
+Fraction ``p/q`` is ``(p, 0, q)``), computes on ints and builds a new
+normalized triple.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class GaussianRational:
         )
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.re_num, self.im_num, self.den))
 
     # -- coercion -----------------------------------------------------
 
@@ -100,35 +102,24 @@ class GaussianRational:
     def coerce(value: ScalarLike) -> GaussianRational:
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, int):
-            return _make(int(value), 0, 1)
-        if isinstance(value, Fraction):
-            return _make(value.numerator, 0, value.denominator)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        triple = _triple(value)
+        if triple is None:
+            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        return _make(*triple)
 
     # -- ring operations ----------------------------------------------
     # Foreign operands return NotImplemented so that richer types (e.g.
     # polynomials) get a chance at the reflected operation.
 
     def __add__(self, other: ScalarLike) -> GaussianRational:
-        a, b, d = self.re_num, self.im_num, self.den
-        if isinstance(other, GaussianRational):
-            c, e, f = other.re_num, other.im_num, other.den
-        elif isinstance(other, int):
-            # gcd(a + n*d, b, d) == gcd(a, b, d) == 1: already normalized.
-            return _make(a + int(other) * d, b, d)
-        elif isinstance(other, Fraction):
-            c, e, f = other.numerator, 0, other.denominator
-        else:
+        triple = _triple(other)
+        if triple is None:
             return NotImplemented
+        a, b, d = self.re_num, self.im_num, self.den
+        c, e, f = triple
         if d == f:
-            re, im = a + c, b + e
-        else:
-            re, im, d = a * f + c * d, b * f + e * d, d * f
-        g = gcd(re, im, d)
-        if g != 1:
-            return _make(re // g, im // g, d // g)
-        return _make(re, im, d)
+            return _normalized(a + c, b + e, d)
+        return _normalized(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
@@ -136,96 +127,31 @@ class GaussianRational:
         return _make(-self.re_num, -self.im_num, self.den)
 
     def __sub__(self, other: ScalarLike) -> GaussianRational:
-        a, b, d = self.re_num, self.im_num, self.den
-        if isinstance(other, GaussianRational):
-            c, e, f = other.re_num, other.im_num, other.den
-        elif isinstance(other, int):
-            return _make(a - int(other) * d, b, d)
-        elif isinstance(other, Fraction):
-            c, e, f = other.numerator, 0, other.denominator
-        else:
+        triple = _triple(other)
+        if triple is None:
             return NotImplemented
-        if d == f:
-            re, im = a - c, b - e
-        else:
-            re, im, d = a * f - c * d, b * f - e * d, d * f
-        g = gcd(re, im, d)
-        if g != 1:
-            return _make(re // g, im // g, d // g)
-        return _make(re, im, d)
-
-    def __rsub__(self, other: ScalarLike) -> GaussianRational:
-        a, b, d = self.re_num, self.im_num, self.den
-        if isinstance(other, int):
-            return _make(int(other) * d - a, -b, d)
-        if not isinstance(other, Fraction):
-            return NotImplemented
-        c, f = other.numerator, other.denominator
-        if d == f:
-            re, im = c - a, -b
-        else:
-            re, im, d = c * d - a * f, -b * f, d * f
-        g = gcd(re, im, d)
-        if g != 1:
-            return _make(re // g, im // g, d // g)
-        return _make(re, im, d)
+        c, e, f = triple
+        return self + _make(-c, -e, f)
 
     def __mul__(self, other: ScalarLike) -> GaussianRational:
-        a, b, d = self.re_num, self.im_num, self.den
-        if isinstance(other, GaussianRational):
-            c, e, f = other.re_num, other.im_num, other.den
-        elif isinstance(other, int):
-            # gcd(a, b) is prime to d, so gcd(n*a, n*b, d) == gcd(n, d);
-            # n == 0 gives gcd d and the triple (0, 0, 1).
-            n = int(other)
-            g = gcd(n, d)
-            if g != 1:
-                n //= g
-                d //= g
-            return _make(a * n, b * n, d)
-        elif isinstance(other, Fraction):
-            c, e, f = other.numerator, 0, other.denominator
-        else:
+        triple = _triple(other)
+        if triple is None:
             return NotImplemented
-        re, im, d = a * c - b * e, a * e + b * c, d * f
-        g = gcd(re, im, d)
-        if g != 1:
-            return _make(re // g, im // g, d // g)
-        return _make(re, im, d)
+        a, b, d = self.re_num, self.im_num, self.den
+        c, e, f = triple
+        return _normalized(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> GaussianRational:
-        return _make(self.re_num, -self.im_num, self.den)
-
-    def norm(self) -> Fraction:
-        """The field norm re^2 + im^2 (a nonnegative rational)."""
-        a, b, d = self.re_num, self.im_num, self.den
-        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> GaussianRational:
         a, b, d = self.re_num, self.im_num, self.den
         if not a and not b:
             raise ZeroDivisionError("division by zero in Q(i)")
         # d / (a + b*i) = (a*d - b*d*i) / (a^2 + b^2)
-        re, im, n = a * d, -b * d, a * a + b * b
-        g = gcd(re, im, n)
-        if g != 1:
-            return _make(re // g, im // g, n // g)
-        return _make(re, im, n)
+        return _normalized(a * d, -b * d, a * a + b * b)
 
     def __truediv__(self, other: ScalarLike) -> GaussianRational:
         return self * GaussianRational.coerce(other).inverse()
-
-    def __rtruediv__(self, other: ScalarLike) -> GaussianRational:
-        return GaussianRational.coerce(other) * self.inverse()
-
-    def __pow__(self, exponent: int) -> GaussianRational:
-        if not isinstance(exponent, int):
-            raise TypeError("exponent must be an integer")
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return power_by_squaring(self, exponent, ONE)
 
     # -- display (debugging only; the parser module owns the grammar) --
 
@@ -257,23 +183,28 @@ def _make(re_num: int, im_num: int, den: int) -> GaussianRational:
     return z
 
 
+def _normalized(re_num: int, im_num: int, den: int) -> GaussianRational:
+    """The scalar (re_num + im_num*i) / den for any den > 0."""
+    g = gcd(re_num, im_num, den)
+    if g != 1:
+        return _make(re_num // g, im_num // g, den // g)
+    return _make(re_num, im_num, den)
+
+
+def _triple(value) -> tuple[int, int, int] | None:
+    """The normalized triple of a scalar operand; None for a foreign type."""
+    if isinstance(value, GaussianRational):
+        return value.re_num, value.im_num, value.den
+    if isinstance(value, int):
+        return int(value), 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
+
+
 ZERO = _make(0, 0, 1)
 ONE = _make(1, 0, 1)
 I = _make(0, 1, 1)
-
-
-def power_by_squaring(base, exponent: int, one):
-    """``base ** exponent`` for an integer ``exponent >= 0`` by square and
-    multiply, starting from the identity ``one``; shared by the scalar,
-    polynomial and quotient-ring powers."""
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
 
 
 def gq(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:

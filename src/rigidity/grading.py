@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .derivation import Derivation, make_derivation
-from .poly import MINUS_INF, InternalInvariantError, NotDivisibleError, Polynomial, WeightVector
+from .poly import MINUS_INF, InternalInvariantError, Polynomial, WeightVector
 from .quotient import RingElement, RingPresentation
 
 
@@ -114,10 +114,8 @@ def coset_degree(element: RingElement, weights: WeightVector) -> CosetDegree:
     hat = relation.top_part(weights)
     rep = element.rep
     while True:
-        top = rep.top_part(weights)
-        try:
-            q = top.divide_exact(hat)
-        except NotDivisibleError:
+        q, remainder = rep.top_part(weights).div_rem(hat)
+        if not remainder.is_zero:
             break
         rep = rep - q * relation
     return CosetDegree(rep.weighted_degree(weights), pattern_irreducible(hat), rep)

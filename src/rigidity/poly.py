@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .gauss import ONE, ZERO, GaussianRational, ScalarLike, power_by_squaring
+from .gauss import ONE, ZERO, GaussianRational, ScalarLike
 
 ExponentVector = tuple[int, ...]
 #: A weight vector assigns an integer weight to each variable, in declaration
@@ -34,10 +34,6 @@ class VariableMismatchError(ValueError):
 
 class UnknownVariableError(ValueError):
     """Raised when an operation names a variable the polynomial does not have."""
-
-
-class NotDivisibleError(ArithmeticError):
-    """Raised by exact division when the divisor does not divide the dividend."""
 
 
 class NotUnivariateError(ValueError):
@@ -77,7 +73,7 @@ class Polynomial:
                 raise ValueError(
                     f"exponent tuple {exponents!r} does not match variables {variables!r}"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in exponents):
+            if any(not isinstance(e, int) or e < 0 for e in exponents):
                 raise ValueError(f"exponents must be nonnegative integers: {exponents!r}")
             coefficient = GaussianRational.coerce(coefficient)
             if coefficient.is_zero:
@@ -166,9 +162,6 @@ class Polynomial:
             return MINUS_INF
         return max(e[i] for e in self.terms)
 
-    def coefficient(self, exponents: Sequence[int]) -> GaussianRational:
-        return self.terms.get(tuple(exponents), ZERO)
-
     def _index(self, name: str) -> int:
         try:
             return self.variables.index(name)
@@ -223,9 +216,6 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: ScalarLike) -> Polynomial:
-        return (-self) + other
-
     def __mul__(self, other: Union[Polynomial, ScalarLike]) -> Polynomial:
         if isinstance(other, (int, Fraction, GaussianRational)):
             value = GaussianRational.coerce(other)
@@ -251,9 +241,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Polynomial:
+        """Square and multiply."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponents must be nonnegative integers")
-        return power_by_squaring(self, exponent, Polynomial.constant(self.variables, 1))
+        result, base = Polynomial.constant(self.variables, 1), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     @classmethod
     def _raw(cls, variables: tuple[str, ...], terms: dict[ExponentVector, GaussianRational]) -> Polynomial:
@@ -300,15 +298,6 @@ class Polynomial:
                 remainder[exps] = coeff
         quotient = {e: c for e, c in quotient.items() if not c.is_zero}
         return self._raw(self.variables, quotient), self._raw(self.variables, remainder)
-
-    def divide_exact(self, divisor: Polynomial) -> Polynomial:
-        """Exact division; raises NotDivisibleError when a remainder is left."""
-        quotient, remainder = self.div_rem(divisor)
-        if not remainder.is_zero:
-            raise NotDivisibleError(
-                f"{self!r} is not divisible by {divisor!r} (remainder {remainder!r})"
-            )
-        return quotient
 
     def divides(self, other: Polynomial) -> bool:
         if self.is_zero:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .gauss import GaussianRational, ScalarLike, power_by_squaring
+from .gauss import GaussianRational, ScalarLike
 from .poly import Polynomial, monomial_divides
 
 
@@ -43,17 +43,19 @@ class RingPresentation:
 
     # -- element constructors ------------------------------------------
 
-    def normal_form(self, lift: Union[Polynomial, ScalarLike]) -> RingElement:
-        if isinstance(lift, (int, Fraction, GaussianRational)):
-            lift = Polynomial.constant(self.variables, lift)
-        _, remainder = lift.div_rem(self.relation)
+    def normal_form(self, value: Union[RingElement, Polynomial, ScalarLike]) -> RingElement:
+        """The class of value in this ring: the class itself when it already
+        lives here, else the normal form of a polynomial or scalar lift."""
+        if isinstance(value, RingElement):
+            if value.presentation != self:
+                raise PresentationMismatchError("elements live in different quotient rings")
+            return value
+        if isinstance(value, (int, Fraction, GaussianRational)):
+            value = Polynomial.constant(self.variables, value)
+        elif not isinstance(value, Polynomial):
+            raise TypeError(f"cannot interpret {value!r} as a ring element")
+        _, remainder = value.div_rem(self.relation)
         return RingElement(self, remainder)
-
-    def zero(self) -> RingElement:
-        return self.normal_form(Polynomial.zero(self.variables))
-
-    def one(self) -> RingElement:
-        return self.normal_form(Polynomial.constant(self.variables, 1))
 
     def generator(self, name: str) -> RingElement:
         return self.normal_form(Polynomial.variable(self.variables, name))
@@ -77,54 +79,15 @@ class RingElement:
                     "representative is not in normal form; build elements via normal_form()"
                 )
 
-    def _check(self, other: RingElement) -> None:
-        if self.presentation != other.presentation:
-            raise PresentationMismatchError("elements live in different quotient rings")
-
     @property
     def is_zero(self) -> bool:
         return self.rep.is_zero
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __add__(self, other: Union[RingElement, Polynomial, ScalarLike]) -> RingElement:
-        other = self._coerce(other)
-        self._check(other)
-        # A sum of reduced representatives is reduced: no new monomials appear.
-        return RingElement(self.presentation, self.rep + other.rep)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RingElement:
-        return RingElement(self.presentation, -self.rep)
-
-    def __sub__(self, other: Union[RingElement, Polynomial, ScalarLike]) -> RingElement:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: Union[Polynomial, ScalarLike]) -> RingElement:
-        return (-self) + other
-
     def __mul__(self, other: Union[RingElement, Polynomial, ScalarLike]) -> RingElement:
-        other = self._coerce(other)
-        self._check(other)
+        other = self.presentation.normal_form(other)
         return self.presentation.normal_form(self.rep * other.rep)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> RingElement:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("ring element exponents must be nonnegative integers")
-        return power_by_squaring(self, exponent, self.presentation.one())
-
-    def _coerce(self, value: Union[RingElement, Polynomial, ScalarLike]) -> RingElement:
-        if isinstance(value, RingElement):
-            return value
-        if isinstance(value, Polynomial):
-            return self.presentation.normal_form(value)
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            return self.presentation.normal_form(value)
-        raise TypeError(f"cannot combine a ring element with {value!r}")
 
     def __repr__(self) -> str:
         return f"RingElement({self.rep!r} mod {self.presentation.relation!r})"

@@ -420,6 +420,13 @@ def test_human_output_prints_witness_images(capsys):
     assert "Y: 1" in out
 
 
+def test_human_mason_lists_each_root_count(capsys):
+    assert main(["mason", "--polys", "S^2-1;-S^2;1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("distinct_roots_each:")
+    assert lines[start + 1:start + 5] == ["  - 2", "  - 1", "  - 0", "distinct_roots_product: 3"]
+
+
 def test_human_errors_go_to_stderr(capsys):
     code = main(["obstruct", "--pattern", "nosuch", "--params", "a=1"])
     captured = capsys.readouterr()

@@ -180,12 +180,12 @@ def test_coset_degree_rejects_non_integer_weights():
     with pytest.raises(ValueError, match="integers"):
         coset_degree(cls, (1.5, 0))
     with pytest.raises(ValueError, match="integers"):
-        coset_degree(base.zero(), (1, 0.5))
+        coset_degree(base.normal_form(0), (1, 0.5))
 
 
 def test_coset_degree_zero_class():
     base = RingPresentation(XY, Xp**2 - Yp)
-    out = coset_degree(base.zero(), (1, 1))
+    out = coset_degree(base.normal_form(0), (1, 1))
     assert out.value == MINUS_INF and out.exact
 
 
