@@ -17,6 +17,9 @@ nonzero coefficient vectors once, with their values at one or two integer
 filter points: the filter rejects a leaf unless the relation vanishes at the
 point (zero target) or takes one nonzero value at both (unit target), and a
 leaf that passes is decided by exact substitution (verify_parametrization).
+When the last variable occurs only in terms of its own and its level is
+cached, each of its rows adds a fixed value at each point, so the rows are
+indexed by that value and the last level is looked up, not scanned.
 """
 
 from __future__ import annotations
@@ -226,27 +229,32 @@ def bounded_search(
     (unit target: the values must be equal and nonzero).  A leaf that
     passes is decided by exact substitution with verify_parametrization;
     the first tuple it accepts is the hit.
+
+    If the last level is cached and every term with the last variable has
+    no other variable, the level's rows are indexed by the value they add
+    at the first point (zero target) or by its difference between the two
+    points (unit target); each leaf then visits only the rows that pass.
+    `examined` counts the rows up to the hit, or all of them, as a scan of
+    the level would.
     """
     bounds = problem.degree_bounds
     if not bounds:
         raise ValueError("the problem carries no degree bounds to search")
     if coefficient_window < 0:
         raise ValueError("coefficient window must be nonnegative")
-    if gaussian:
-        values = [
-            (re, im)
-            for re in range(-coefficient_window, coefficient_window + 1)
-            for im in range(-coefficient_window, coefficient_window + 1)
-        ]
-    else:
-        values = [(re, 0) for re in range(-coefficient_window, coefficient_window + 1)]
+    # Count the window before listing it, so an oversized space allocates
+    # nothing.
+    width = 2 * coefficient_window + 1
+    count = width * width if gaussian else width
     space = 1
     for d in bounds:
-        space *= len(values) ** (d + 1)
+        space *= count ** (d + 1)
     if space > DEFAULT_CEILING:
         raise SearchSpaceError(
             f"search space of {space} tuples exceeds the ceiling {DEFAULT_CEILING}"
         )
+    window = range(-coefficient_window, coefficient_window + 1)
+    values = [(re, im) for re in window for im in (window if gaussian else (0,))]
     allow_constant = all(d == 0 for d in bounds)
 
     relation = problem.relation
@@ -260,6 +268,7 @@ def bounded_search(
     # A slot is one term at one filter point; level i multiplies the slots
     # of the terms that contain its variable.
     slots = [(exps, k, x) for exps, _ in terms for k, x in enumerate(points)]
+    coeffs = [coeff for _, coeff in terms for _ in points]
     active = [[s for s, (exps, _, _) in enumerate(slots) if exps[i]] for i in range(n)]
 
     def rows(i: int):
@@ -285,23 +294,34 @@ def bounded_search(
     chosen: list[tuple[GaussianInt, ...]] = [()] * n
     examined = 0
     last = n - 1
+    table = tables[last]
+    last_rows = len(values) ** (bounds[last] + 1) - 1
+    # The slots the last level leaves alone, by their place in the sums.
+    rest = [(s, 2 * k) for s, (_, k, _) in enumerate(slots) if s not in active[last]]
 
-    def leaves(
-        partials: list[GaussianInt], nonconstant_seen: bool
-    ) -> Optional[tuple[Polynomial, ...]]:
-        """Run the last level against fixed partials: sum the slots it
-        leaves alone once, then add each row's products."""
-        nonlocal examined
-        base = [0, 0] * len(points)
-        for s, (re, im) in enumerate(partials):
-            if s not in active[last]:
-                k = slots[s][1]
-                base[2 * k] += re
-                base[2 * k + 1] += im
+    # When every term with the last variable has no other variable, a row of
+    # the last level adds the same value w_k at filter point k whatever the
+    # outer levels chose.  Its cached rows are then indexed by the value a
+    # passing leaf needs from them: w_0 (zero target) or w_0 - w_1 (unit).
+    index = None
+    if table is not None and all(sum(map(bool, slots[s][0])) == 1 for s in active[last]):
+        index = {}
+        factors = [(*coeffs[s], 2 * slots[s][1]) for s in active[last]]
+        for pos, (_, _, powered) in enumerate(table):
+            w = [0, 0] * len(points)
+            for (pr, pi, k), (vr, vi) in zip(factors, powered):
+                w[k] += pr * vr - pi * vi
+                w[k + 1] += pr * vi + pi * vr
+            key = (w[0], w[1]) if want_zero else (w[0] - w[2], w[1] - w[3])
+            index.setdefault(key, []).append((pos, w[0], w[1]))
+
+    def scan(base: list[int], partials: list[GaussianInt]):
+        """The last level's rows that pass the filter, with their positions:
+        add each row's products to the fixed sums."""
         factors = [(*partials[s], 2 * slots[s][1]) for s in active[last]]
-        level = tables[last] if tables[last] is not None else rows(last)
-        for vector, nonconstant, powered in level:
-            examined += 1
+        for pos, (vector, nonconstant, powered) in enumerate(
+            table if table is not None else rows(last)
+        ):
             sums = base[:]
             for (pr, pi, k), (vr, vi) in zip(factors, powered):
                 sums[k] += pr * vr - pi * vi
@@ -311,12 +331,38 @@ def bounded_search(
                     continue
             elif sums[0] != sums[2] or sums[1] != sums[3] or not (sums[0] or sums[1]):
                 continue
+            yield pos, vector, nonconstant
+
+    def leaves(
+        partials: list[GaussianInt], nonconstant_seen: bool
+    ) -> Optional[tuple[Polynomial, ...]]:
+        """Run the last level against fixed partials: sum the slots it
+        leaves alone once, then look up (or scan for) the rows that pass.
+        The rows up to the hit, or all of them, count as examined."""
+        nonlocal examined
+        base = [0, 0] * len(points)
+        for s, k in rest:
+            re, im = partials[s]
+            base[k] += re
+            base[k + 1] += im
+        if index is None:
+            passing = scan(base, partials)
+        else:
+            key = (-base[0], -base[1]) if want_zero else (base[2] - base[0], base[3] - base[1])
+            passing = (
+                (pos, *table[pos][:2])
+                for pos, wr, wi in index.get(key, ())
+                if want_zero or base[0] + wr or base[1] + wi
+            )
+        for pos, vector, nonconstant in passing:
             if not (nonconstant_seen or nonconstant or allow_constant):
                 continue
             chosen[last] = vector
             found = tuple(_vector_to_polynomial(vec, variable) for vec in chosen)
             if verify_parametrization(problem, found).ok:
+                examined += pos + 1
                 return found
+        examined += last_rows
         return None
 
     def descend(
@@ -336,7 +382,7 @@ def bounded_search(
                 return found
         return None
 
-    found = descend(0, [coeff for _, coeff in terms for _ in points], False)
+    found = descend(0, coeffs, False)
     status = NONE_WITHIN_BOUNDS if found is None else FOUND
     return SearchOutcome(status=status, candidates=found, examined=examined)
 

@@ -348,6 +348,82 @@ def test_search_above_the_table_cap_streams_in_bounded_memory():
     assert peak < 4 * 2**20, peak
 
 
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_search_space_ceiling_is_checked_before_the_window_is_listed(gaussian):
+    X, Y = gens("X", "Y")
+    problem = zero_problem(X**2 + Y**2, (0, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceError):
+            bounded_search(problem, coefficient_window=10**8, gaussian=gaussian)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+# The last variable occurs only in terms of its own, so the last level is
+# looked up by the value its row must add, except in the two fallbacks.
+INDEXED_CASES = [
+    ("X^2 + Y", ("X", "Y"), "zero", (1, 1), 1, True),
+    ("X^3 - 2*Y^2", ("X", "Y"), "zero", (1, 1), 1, True),
+    ("X^2 + Y^3", ("X", "Y"), "zero", (1, 1), 1, True),
+    ("X^2 - Y^2", ("X", "Y"), "zero", (1, 1), 1, True),
+    ("X^2 + 2*Y", ("X", "Y"), "unit", (1, 1), 2, False),
+    ("X^3 - Y^2", ("X", "Y"), "unit", (1, 2), 2, False),
+    ("X^2 + Y^3", ("X", "Y"), "unit", (2, 1), 2, False),
+    ("X^2 - Y^2", ("X", "Y"), "unit", (1, 1), 1, True),
+    ("X^2*Y + 3*Z^2", ("X", "Y", "Z"), "zero", (1, 1, 1), 1, False),
+    ("X - Y^2 - Y^3", ("X", "Y"), "zero", (3, 1), 1, False),  # found
+    ("X - Y^2", ("X", "Y"), "unit", (2, 1), 1, True),  # found
+    # extended-minimason: several pure terms in the last variable
+    ("F^2 + H^3 + H^4", ("F", "H"), "unit", (2, 2), 1, False),
+    ("F^3 - 2*H^2 + H^3", ("F", "H"), "unit", (1, 1), 1, True),
+    # fallbacks: the last variable inside a mixed term
+    ("X^2 + X*Y + Y^3", ("X", "Y"), "zero", (1, 1), 1, True),
+    ("X^3*Y + Z^3*Y + Z^4", ("X", "Y", "Z"), "zero", (2, 0, 3), 1, False),
+]
+
+
+@pytest.mark.parametrize("text, names, constraint, bounds, window, gaussian", INDEXED_CASES)
+def test_indexed_last_level_matches_the_dense_reference(
+    text, names, constraint, bounds, window, gaussian
+):
+    problem = ParametrizationProblem(parse_poly(text, names), constraint, bounds)
+    outcome = bounded_search(problem, coefficient_window=window, gaussian=gaussian)
+    assert outcome == reference_search(problem, coefficient_window=window, gaussian=gaussian)
+
+
+def test_indexed_unit_target_skips_a_row_whose_sum_is_zero(monkeypatch):
+    # X = -1 comes first.  Every row gives equal values at the two filter
+    # points, but Y = -1 makes X - Y zero, which the filter rejects before
+    # any substitution; Y = 1, the second row of the level, is the hit.
+    X, Y = gens("X", "Y")
+    problem = unit_problem(X - Y, (0, 0))
+    decided = []
+    verify = oracle.verify_parametrization
+    monkeypatch.setattr(
+        oracle, "verify_parametrization", lambda p, c: decided.append(c) or verify(p, c)
+    )
+    outcome = bounded_search(problem, coefficient_window=1)
+    assert outcome == reference_search(problem, coefficient_window=1)
+    assert outcome.candidates == (Polynomial.constant(("S",), -1), Polynomial.constant(("S",), 1))
+    assert decided == [outcome.candidates]
+    assert outcome.examined == 2
+
+
+def test_indexed_hit_after_a_filter_collision_counts_the_rows_before_it():
+    # X = -1 - S makes X^2 + 7*X take 8 at the filter point 7, and so does
+    # Y^2 - 7*Y at Y = -1 (row 1), which passes the filter but is no
+    # solution; Y = 1 + S (row 7) is the hit.
+    X, Y = gens("X", "Y")
+    problem = zero_problem(X**2 + 7 * X - Y**2 + 7 * Y, (1, 1))
+    outcome = bounded_search(problem, coefficient_window=1)
+    assert outcome == reference_search(problem, coefficient_window=1)
+    assert outcome.candidates == (-S - 1, S + 1)
+    assert outcome.examined == 8
+
+
 CRITERION_10_FIXTURES = [
     ("F^2 + H^3", ("F", "H"), "unit", (3, 2), 2, False),
     ("F^3 + H^3 + H^6", ("F", "H"), "unit", (2, 2), 2, False),
