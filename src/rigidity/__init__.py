@@ -25,7 +25,6 @@ from .families import (
     mixed_four,
     recognize_family,
     three_term_xy,
-    unrecognized,
 )
 from .gauss import GaussianRational
 from .grading import (
@@ -130,6 +129,5 @@ __all__ = [
     "recognize_family",
     "remark_family_candidates",
     "three_term_xy",
-    "unrecognized",
     "verify_parametrization",
 ]

@@ -3,7 +3,9 @@
 The entry points are :func:`recognize_family`, which pattern-matches a
 relation against the supported hypersurface families (up to variable
 permutation and nonzero term coefficients), and :func:`classify`, which maps
-a descriptor to a :class:`Verdict` via a fixed rule table.
+a descriptor to a :class:`Verdict` via a fixed rule table.  The catalog
+constructors (:func:`three_term_xy`, :func:`fermat_3`, :func:`mixed_four`)
+build a relation and return the descriptor that recognition gives it.
 
 Every NotRigid verdict ships with a machine-checked witness: the catalog
 derivation is rebuilt on the actual presentation, validated as well-defined
@@ -103,7 +105,6 @@ CITE_OUT_OF_SCOPE = "outside the catalog"
 
 
 Names = tuple[str, ...]
-Coeffs = tuple[GaussianRational, ...]
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,10 @@ class FamilyDescriptor:
     ``roles`` lists the ambient variables in family order (for instance
     ``(x, y, z)`` for the three-term family), ``coefficients`` the nonzero
     scalar on each canonical term, and ``relation`` the defining polynomial
-    (None only for the fully degenerate all-zero exponent tuple, which has no
-    presentable relation).  DanielewskiLike descriptors carry the tail
-    polynomial P as an ascending coefficient tuple when the tail is strict.
+    (None only for the zero relation 1 - 1 that three_term_xy builds from
+    all-zero exponents and cancelling coefficients; it has no presentation).
+    DanielewskiLike descriptors carry the tail polynomial P as an ascending
+    coefficient tuple when the tail is strict.
     """
 
     kind: str
@@ -138,8 +140,8 @@ class Verdict:
 
 
 # --------------------------------------------------------------------------
-# descriptor constructors (used by the criterion 01-03 acceptance tables) and
-# the per-family canonicalizers they share with recognition
+# descriptor constructors (used by the criterion 01-03 acceptance tables):
+# each builds its relation and returns what recognition makes of it
 # --------------------------------------------------------------------------
 
 
@@ -171,33 +173,23 @@ def three_term_xy(
     variables: Sequence[str] = ("X", "Y", "Z"),
     coefficients: Sequence[ScalarLike] = (1, -1),
 ) -> FamilyDescriptor:
-    """Descriptor for alpha*X^a*Y^b + beta*Z^c (exponents may be 0)."""
+    """Descriptor for alpha*X^a*Y^b + beta*Z^c (exponents may be 0).
+
+    The zero relation (all exponents 0 and alpha = -beta) keeps a
+    descriptor without a relation; any other constant raises ValueError.
+    """
     exps = _check_exponents((a, b, c), 0)
     variables = tuple(variables)
     if len(variables) != 3:
         raise ValueError("the three-term family lives in three variables")
     alpha, beta = _coerce_coeffs(coefficients)
-    x, y, z = variables
-    relation = _mono(variables, alpha, {x: a, y: b}) + _mono(variables, beta, {z: c})
-    return _three_term(variables, variables, exps, (alpha, beta), relation)
-
-
-def _three_term(
-    variables: Names, roles: Names, exps: tuple[int, ...], coeffs: Coeffs,
-    relation: Polynomial, notes: Sequence[str] = (),
-) -> FamilyDescriptor:
-    # All-zero exponents collapse the relation to a constant: no presentation.
-    if relation.is_zero or relation.is_constant:
-        relation = None
-    return FamilyDescriptor(
-        kind=THREE_TERM_XY,
-        exponents=exps,
-        variables=variables,
-        roles=roles,
-        coefficients=coeffs,
-        relation=relation,
-        notes=tuple(notes),
-    )
+    relation = Polynomial(variables, [((a, b, 0), alpha), ((0, 0, c), beta)])
+    if relation.is_zero:
+        return FamilyDescriptor(
+            kind=THREE_TERM_XY, exponents=exps, variables=variables, roles=variables,
+            coefficients=(alpha, beta), relation=None,
+        )
+    return recognize_family(relation)
 
 
 def fermat_3(
@@ -211,12 +203,10 @@ def fermat_3(
     variables = tuple(variables)
     if len(variables) != 3:
         raise ValueError("the three-power family lives in three variables")
-    exps = _check_exponents((a, b, c), 1)
-    coeffs = _coerce_coeffs(coefficients)
-    relation = Polynomial.zero(variables)
-    for v, e, cf in zip(variables, exps, coeffs):
-        relation = relation + _mono(variables, cf, {v: e})
-    return _pure_powers(variables, exps, coeffs, relation)
+    _check_exponents((a, b, c), 1)
+    p, q, r = _coerce_coeffs(coefficients)
+    terms = [((a, 0, 0), p), ((0, b, 0), q), ((0, 0, c), r)]
+    return recognize_family(Polynomial(variables, terms))
 
 
 def mixed_four(
@@ -232,82 +222,10 @@ def mixed_four(
     variables = tuple(variables)
     if len(variables) != 4:
         raise ValueError("the mixed four-variable family lives in four variables")
-    exps = _check_exponents((a, b, c, d), 1)
-    alpha, beta, gamma = coeffs = _coerce_coeffs(coefficients)
-    x, y, z, t = variables
-    relation = (
-        _mono(variables, alpha, {x: a, y: b})
-        + _mono(variables, beta, {z: c})
-        + _mono(variables, gamma, {t: d})
-    )
-    return _mixed_four(variables, variables, exps, coeffs, relation)
-
-
-def _mixed_four(
-    variables: Names, roles: Names, exps: tuple[int, ...], coeffs: Coeffs,
-    relation: Polynomial, notes: Sequence[str] = (),
-) -> FamilyDescriptor:
-    """Canonical descriptor for alpha*x^a*y^b + beta*z^c + gamma*t^d with
-    ``roles`` = (x, y, z, t): slots are swapped so that a >= b and c <= d."""
-    a, b, c, d = exps
-    x, y, z, t = roles
-    alpha, beta, gamma = coeffs
-    swaps: list[str] = []
-    if a < b:
-        a, b, x, y = b, a, y, x
-        swaps.append("first and second slots swapped so a >= b")
-    if c > d:
-        c, d, z, t = d, c, t, z
-        beta, gamma = gamma, beta
-        swaps.append("third and fourth slots swapped so c <= d")
-    return FamilyDescriptor(
-        kind=MIXED_FOUR,
-        exponents=(a, b, c, d),
-        variables=variables,
-        roles=(x, y, z, t),
-        coefficients=(alpha, beta, gamma),
-        relation=relation,
-        notes=(*swaps, *notes),
-    )
-
-
-def _pure_powers(
-    variables: Names, exps: tuple[int, ...], coeffs: Coeffs, relation: Polynomial,
-    notes: Sequence[str] = (),
-) -> FamilyDescriptor:
-    """Canonical descriptor for a sum of pure powers, slot i in variable i.
-
-    Three slots (Fermat3) are reordered so the exponents ascend; four or
-    more (FermatN) keep the ambient order.
-    """
-    kind, roles = FERMAT_N, variables
-    if len(exps) == 3:
-        kind = FERMAT_3
-        order = sorted(range(3), key=lambda i: (exps[i], i))
-        if order != [0, 1, 2]:
-            roles, exps, coeffs = (tuple(s[i] for i in order) for s in (roles, exps, coeffs))
-            notes = ("slots reordered so the exponents ascend", *notes)
-    return FamilyDescriptor(
-        kind=kind,
-        exponents=exps,
-        variables=variables,
-        roles=roles,
-        coefficients=coeffs,
-        relation=relation,
-        notes=tuple(notes),
-    )
-
-
-def unrecognized(f: Polynomial, reason: str) -> FamilyDescriptor:
-    return FamilyDescriptor(
-        kind=UNRECOGNIZED,
-        exponents=(),
-        variables=f.variables,
-        roles=(),
-        coefficients=(),
-        relation=f,
-        notes=(reason,),
-    )
+    _check_exponents((a, b, c, d), 1)
+    alpha, beta, gamma = _coerce_coeffs(coefficients)
+    terms = [((a, b, 0, 0), alpha), ((0, 0, c, 0), beta), ((0, 0, 0, d), gamma)]
+    return recognize_family(Polynomial(variables, terms))
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +259,10 @@ def recognize_family(f: Polynomial) -> FamilyDescriptor:
             found = _match_pure_powers(f)
     if found is not None:
         return found
-    return unrecognized(f, "no catalog family matches the relation shape")
+    return FamilyDescriptor(
+        kind=UNRECOGNIZED, exponents=(), variables=f.variables, roles=(), coefficients=(),
+        relation=f, notes=("no catalog family matches the relation shape",),
+    )
 
 
 def _support(exps: Sequence[int]) -> tuple[int, ...]:
@@ -374,12 +295,20 @@ def _match_three_term(f: Polynomial) -> Optional[FamilyDescriptor]:
             coeffs = (head[1], other[1])
             notes = _coefficient_note(coeffs, (1, -1))
             notes.append(f"roles x={roles[0]}, y={roles[1]}, z={roles[2]}")
-            exps = (head[0][ix], head[0][iy], other[0][iz])
-            return _three_term(variables, roles, exps, coeffs, f, notes)
+            return FamilyDescriptor(
+                kind=THREE_TERM_XY, exponents=(head[0][ix], head[0][iy], other[0][iz]),
+                variables=variables, roles=roles, coefficients=coeffs, relation=f,
+                notes=tuple(notes),
+            )
     return None
 
 
 def _match_pure_powers(f: Polynomial) -> Optional[FamilyDescriptor]:
+    """A sum of pure powers, slot i in variable i.
+
+    Three slots (Fermat3) are reordered so the exponents ascend; four or
+    more (FermatN) keep the ambient order.
+    """
     variables = f.variables
     n = len(variables)
     if len(f.terms) != n:
@@ -397,10 +326,23 @@ def _match_pure_powers(f: Polynomial) -> Optional[FamilyDescriptor]:
         return None
     exps = tuple(slot[i][0] for i in range(n))
     coeffs = tuple(slot[i][1] for i in range(n))
-    return _pure_powers(variables, exps, coeffs, f, _coefficient_note(coeffs, (1,) * n))
+    notes = _coefficient_note(coeffs, (1,) * n)
+    kind, roles = FERMAT_N, variables
+    if n == 3:
+        kind = FERMAT_3
+        order = sorted(range(3), key=lambda i: (exps[i], i))
+        if order != [0, 1, 2]:
+            roles, exps, coeffs = (tuple(s[i] for i in order) for s in (roles, exps, coeffs))
+            notes.insert(0, "slots reordered so the exponents ascend")
+    return FamilyDescriptor(
+        kind=kind, exponents=exps, variables=variables, roles=roles, coefficients=coeffs,
+        relation=f, notes=tuple(notes),
+    )
 
 
 def _match_mixed_four(f: Polynomial) -> Optional[FamilyDescriptor]:
+    """alpha*x^a*y^b + beta*z^c + gamma*t^d, with the slots swapped so that
+    a >= b and c <= d."""
     variables = f.variables
     mixed = None
     pure: dict[int, tuple[int, GaussianRational]] = {}
@@ -418,14 +360,20 @@ def _match_mixed_four(f: Polynomial) -> Optional[FamilyDescriptor]:
     if set(pure) != set(range(4)) - {ix, iy}:
         return None
     iz, it = sorted(pure)
-    coeffs = (alpha, pure[iz][1], pure[it][1])
-    return _mixed_four(
-        variables,
-        (variables[ix], variables[iy], variables[iz], variables[it]),
-        (exps[ix], exps[iy], pure[iz][0], pure[it][0]),
-        coeffs,
-        f,
-        _coefficient_note(coeffs, (1, 1, 1)),
+    (c, beta), (d, gamma) = pure[iz], pure[it]
+    a, b = exps[ix], exps[iy]
+    x, y, z, t = (variables[i] for i in (ix, iy, iz, it))
+    notes = _coefficient_note((alpha, beta, gamma), (1, 1, 1))
+    swaps = []
+    if a < b:
+        a, b, x, y = b, a, y, x
+        swaps.append("first and second slots swapped so a >= b")
+    if c > d:
+        c, d, z, t, beta, gamma = d, c, t, z, gamma, beta
+        swaps.append("third and fourth slots swapped so c <= d")
+    return FamilyDescriptor(
+        kind=MIXED_FOUR, exponents=(a, b, c, d), variables=variables, roles=(x, y, z, t),
+        coefficients=(alpha, beta, gamma), relation=f, notes=(*swaps, *notes),
     )
 
 
@@ -597,8 +545,8 @@ def _classify_three_term(d: FamilyDescriptor) -> Verdict:
     if d.relation is None:
         return _verdict(
             d, NOT_RIGID, CITE_DEGENERATE,
-            "all exponents are zero, so the relation collapses to a constant;"
-            " the quotient is a full polynomial ring and every coordinate"
+            "all exponents are zero and the coefficients cancel, so the relation"
+            " is zero; the quotient is a full polynomial ring and every coordinate"
             " derivation is a nonzero locally nilpotent derivation, but no"
             " presentation exists to attach a witness to",
         )

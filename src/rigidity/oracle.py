@@ -243,16 +243,14 @@ def bounded_search(
     if coefficient_window < 0:
         raise ValueError("coefficient window must be nonnegative")
     # Count the window before listing it, so an oversized space allocates
-    # nothing.
+    # nothing.  The space is count ** (sum of d + 1); a count of 2 or more
+    # passes the ceiling within DEFAULT_CEILING.bit_length() factors, so the
+    # exponent is capped there and a huge degree bound forms no huge power.
     width = 2 * coefficient_window + 1
     count = width * width if gaussian else width
-    space = 1
-    for d in bounds:
-        space *= count ** (d + 1)
-    if space > DEFAULT_CEILING:
-        raise SearchSpaceError(
-            f"search space of {space} tuples exceeds the ceiling {DEFAULT_CEILING}"
-        )
+    levels = min(sum(d + 1 for d in bounds), DEFAULT_CEILING.bit_length())
+    if count ** levels > DEFAULT_CEILING:
+        raise SearchSpaceError(f"search space exceeds the ceiling of {DEFAULT_CEILING} tuples")
     window = range(-coefficient_window, coefficient_window + 1)
     values = [(re, im) for re in window for im in (window if gaussian else (0,))]
     allow_constant = all(d == 0 for d in bounds)

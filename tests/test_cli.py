@@ -22,7 +22,7 @@ import rigidity.oracle as oracle
 import rigidity.poly as poly
 from rigidity.cli import main
 from rigidity.derivation import NilpotencyReport
-from rigidity.parsing import MAX_EXPONENT
+from rigidity.parsing import MAX_EXPONENT, format_poly
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -367,6 +367,28 @@ def test_unexpected_handler_exception_exits_2(monkeypatch, capsys, as_json):
 
 # ---------------------------------------------------------------------------
 # default variable inference
+
+
+def test_zero_exponent_three_term_rows_match_the_library(capsys):
+    # Criterion 01's rows with an exponent 0: the catalog constructor and
+    # `classify` on the same relation publish one descriptor and witness.
+    rows = [(a, b, c) for a in range(9) for b in range(9) for c in range(9) if 0 in (a, b, c)]
+    for a, b, c in rows[1:]:  # rows[0] = (0, 0, 0), the zero relation 1 - 1
+        code = main(["classify", "--relation", f"X^{a}*Y^{b} - Z^{c}", "--vars", "X,Y,Z",
+                     "--json", "--deterministic"])
+        assert code == 0, (a, b, c)
+        result = json.loads(capsys.readouterr().out)["result"]
+        desc = families.three_term_xy(a, b, c)
+        verdict = families.classify(desc)
+        assert result["family"] == {
+            "kind": desc.kind, "exponents": list(desc.exponents),
+            "variables": list(desc.variables), "roles": list(desc.roles),
+        }, (a, b, c)
+        assert result["status"] == verdict.status, (a, b, c)
+        assert result["witness"] == {
+            v: format_poly(img.rep) for v, img in zip(desc.variables, verdict.witness.images)
+        }, (a, b, c)
+        assert result["witness_steps"] == list(verdict.witness_report.steps_per_generator)
 
 
 def test_variables_default_to_the_xyzt_prefix(capsys):

@@ -238,14 +238,16 @@ def scaled(derivation: Derivation, factor) -> Derivation:
 def catalog_witnesses(q=None, r=None):
     """Every witness over the criterion 01-03 exponent tables, with the
     tables' coefficients or with q and r on the terms (q on both squares
-    where a witness needs a square root of their ratio)."""
+    where a witness needs a square root of their ratio).  The all-zero
+    three-term row is left out: it has no witness, and with q + r != 0 its
+    relation is a nonzero constant, which has no descriptor."""
 
     def kw(*coefficients):
         return {} if q is None else {"coefficients": coefficients}
 
     descriptors = [
         three_term_xy(a, b, c, **kw(q, r))
-        for a in range(9) for b in range(9) for c in range(9)
+        for a in range(9) for b in range(9) for c in range(9) if (a, b, c) != (0, 0, 0)
     ]
     descriptors += [
         fermat_3(a, b, c, **kw(q, q, r))

@@ -178,6 +178,17 @@ def test_three_term_degenerate_all_zero():
     assert any("full polynomial ring" in note for note in v.notes)
 
 
+def test_three_term_nonzero_constant_is_refused():
+    # 1 + 2 = 3 is a unit, so the quotient is the zero ring, not a
+    # polynomial ring; recognition and the CLI refuse it, and so does the
+    # constructor.  Only 1 - 1, the zero relation, keeps the degenerate row.
+    with pytest.raises(ValueError):
+        three_term_xy(0, 0, 0, coefficients=(1, 2))
+    v = classify(three_term_xy(0, 0, 0, coefficients=(1, -1)))
+    assert (v.status, v.witness) == ("NotRigid", None)
+    assert any("full polynomial ring" in note for note in v.notes)
+
+
 def test_three_term_nondomain_still_rigid():
     v = classify(three_term_xy(2, 4, 6))
     assert v.status == "Rigid"
@@ -559,10 +570,10 @@ def test_every_catalog_witness_kills_its_relation_exactly():
         digest.update((" ".join(row) + "\n").encode())
     # 385 three-term, 43 three-power and 1828 mixed four-variable entries
     assert witnesses == 385 + 43 + 1828
-    # Every image and step count, byte for byte, as the three separate
-    # witness recipes published them before the one Jacobian builder.
+    # Every descriptor, image and step count, byte for byte, as recognition
+    # (and so `rigidity classify`) gives them for the same relations.
     assert digest.hexdigest() == (
-        "c5b38e812abb98c1c4b36b88f6bb2a81562be429ae7e02f8cf376daa297093ba"
+        "a0faec1d7d026cf2e051b4954cab280be0b564465e930d9c45616f5a6ca52bd7"
     )
 
 

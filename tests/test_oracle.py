@@ -235,6 +235,15 @@ def test_search_space_ceiling():
         bounded_search(problem, coefficient_window=2, gaussian=True)
 
 
+@pytest.mark.parametrize("bound", [100_000, 30_000_000])
+def test_search_space_ceiling_needs_no_full_power(bound):
+    # The full 5 ** (bound + 1) would have about 70,000 digits at 100,000
+    # and 21 million at 30,000,000; the count stops once it passes the ceiling.
+    X, Y = gens("X", "Y")
+    with pytest.raises(SearchSpaceError, match="exceeds the ceiling of 10000000 tuples"):
+        bounded_search(zero_problem(X**2 + Y**2, (0, bound)))
+
+
 def test_search_argument_validation():
     X, Y = gens("X", "Y")
     with pytest.raises(ValueError):
