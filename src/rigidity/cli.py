@@ -41,7 +41,7 @@ from .oracle import (
     bounded_search,
     verify_parametrization,
 )
-from .parsing import MAX_EXPONENT, ParseError, _tokenize, format_poly, parse_poly
+from .parsing import MAX_EXPONENT, _tokenize, format_poly, parse_poly
 from .poly import InternalInvariantError, Polynomial
 from .quotient import RingPresentation
 
@@ -465,7 +465,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         result = args.handler(args)
-    except (CliInputError, ParseError, ValueError, ArithmeticError) as exc:
+    except (CliInputError, ValueError, ArithmeticError) as exc:
         payload = _error_payload(args.command, type(exc).__name__, str(exc))
         _emit(payload, as_json, sys.stderr if not as_json else sys.stdout)
         return 1

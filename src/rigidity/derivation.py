@@ -261,23 +261,14 @@ def probe_nilpotency(
         n = 0
         while current:
             if n >= bound:
-                return NilpotencyReport(
-                    status="inconclusive",
-                    certificate=None,
-                    steps_per_generator=None,
-                    bound_used=bound,
-                    detail=f"generator {gen.rep!r} not annihilated within {bound} steps",
-                )
-            if len(current) > DEFAULT_TERM_CEILING:
-                return NilpotencyReport(
-                    status="inconclusive",
-                    certificate=None,
-                    steps_per_generator=None,
-                    bound_used=bound,
-                    detail=f"iterate exceeded {DEFAULT_TERM_CEILING} terms",
-                )
-            current = _pseudo_normal_form(_apply_pairs(current, images), lead, norm, tail)
-            n += 1
+                detail = f"generator {gen.rep!r} not annihilated within {bound} steps"
+            elif len(current) > DEFAULT_TERM_CEILING:
+                detail = f"iterate exceeded {DEFAULT_TERM_CEILING} terms"
+            else:
+                current = _pseudo_normal_form(_apply_pairs(current, images), lead, norm, tail)
+                n += 1
+                continue
+            return NilpotencyReport("inconclusive", None, None, bound, detail)
         steps.append(n)
     return NilpotencyReport(
         status="certified",
@@ -299,49 +290,30 @@ def certify_by_negative_grading(
     derivation lowers it by at least |e|.
     """
     weights = tuple(weights)
-    variables = derivation.presentation.variables
-    if len(weights) != len(variables):
-        raise ValueError("weight vector length does not match the variable count")
+    relation = derivation.presentation.relation
+    homogeneous = relation.top_part(weights) == relation
     if any(w <= 0 for w in weights):
         raise ValueError("negative-grading certification needs strictly positive weights")
-    relation = derivation.presentation.relation
-    degrees = {
-        sum(w * e for w, e in zip(weights, exps)) for exps in relation.terms
-    }
-    if len(degrees) > 1:
+    if not homogeneous:
         raise ValueError("the relation is not homogeneous for these weights")
-    jumps = []
-    for w, img in zip(weights, derivation.images):
-        if img.is_zero:
-            continue
-        jumps.append(img.rep.weighted_degree(weights) - w)
-    if not jumps:
-        return NilpotencyReport(
-            status="certified",
-            certificate="negative_grading",
-            steps_per_generator=tuple(0 for _ in variables),
-            bound_used=0,
-            detail="zero derivation",
-            weights=weights,
-            degree_drop=None,
-        )
-    e = max(jumps)
-    if e < 0:
-        return NilpotencyReport(
-            status="certified",
-            certificate="negative_grading",
-            steps_per_generator=None,
-            bound_used=0,
-            detail=f"every image drops the grading by at least {-e}",
-            weights=weights,
-            degree_drop=e,
-        )
+    jumps = [
+        img.rep.weighted_degree(weights) - w
+        for w, img in zip(weights, derivation.images)
+        if not img.is_zero
+    ]
+    e = max(jumps, default=None)
+    if e is None:
+        status, steps, detail = "certified", tuple(0 for _ in weights), "zero derivation"
+    elif e < 0:
+        status, steps, detail = "certified", None, f"every image drops the grading by at least {-e}"
+    else:
+        status, steps, detail = "inconclusive", None, f"maximal degree jump is {e}, not negative"
     return NilpotencyReport(
-        status="inconclusive",
-        certificate=None,
-        steps_per_generator=None,
+        status=status,
+        certificate="negative_grading" if status == "certified" else None,
+        steps_per_generator=steps,
         bound_used=0,
-        detail=f"maximal degree jump is {e}, not negative",
+        detail=detail,
         weights=weights,
         degree_drop=e,
     )

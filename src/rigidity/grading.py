@@ -5,6 +5,10 @@ graded ring is again a hypersurface ring, presented by the top w-degree part
 f-hat of f.  This module materializes that presentation, computes coset
 degrees by greedy top-part reduction, and homogenizes derivations.
 
+Polynomial validates a weight vector (one integer per variable) whenever a
+top part or weighted degree is taken, so each function here adds only its
+own sign rule; f is w-homogeneous exactly when f.top_part(w) == f.
+
 The exactness flag on coset degrees is pattern-based: it is set when f-hat
 belongs to one of the shapes known to be irreducible over Q(i) (affine-linear;
 a two-term binomial with disjoint supports and coprime exponents; a sum of
@@ -33,7 +37,6 @@ class InexactDegreeError(ValueError):
 
 @dataclass(frozen=True)
 class GradedPresentation:
-    base: RingPresentation
     weights: tuple[int, ...]
     quotient: RingPresentation
 
@@ -46,17 +49,13 @@ def gr_presentation(
     presentation: RingPresentation, weights: WeightVector
 ) -> GradedPresentation:
     """Present the associated graded ring as C[X1..Xn]/(top part of f)."""
-    weights = _check_weights(presentation, weights, allow_negative=True)
+    weights = tuple(weights)
     hat = presentation.relation.top_part(weights)
     if hat.is_constant:
         raise DegenerateGradingError(
             "top part of the relation is constant for these weights"
         )
-    return GradedPresentation(
-        base=presentation,
-        weights=weights,
-        quotient=RingPresentation(presentation.variables, hat),
-    )
+    return GradedPresentation(weights, RingPresentation(presentation.variables, hat))
 
 
 def pattern_irreducible(p: Polynomial) -> bool:
@@ -106,12 +105,12 @@ def coset_degree(element: RingElement, weights: WeightVector) -> CosetDegree:
     each step strictly lowers the weighted degree, so with nonnegative
     weights the loop terminates.
     """
-    presentation = element.presentation
-    weights = _check_weights(presentation, weights, allow_negative=False)
+    relation = element.presentation.relation
+    hat = relation.top_part(weights)
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative here")
     if element.is_zero:
         return CosetDegree(MINUS_INF, True, element.rep)
-    relation = presentation.relation
-    hat = relation.top_part(weights)
     rep = element.rep
     while True:
         q, remainder = rep.top_part(weights).div_rem(hat)
@@ -171,16 +170,3 @@ def derivation_degree_jump(derivation: Derivation, weights: WeightVector) -> Deg
     if gr_derivation.is_zero:
         raise InternalInvariantError("homogenized derivation lost all images")
     return DegreeJump(jump=d, graded=graded, gr_derivation=gr_derivation)
-
-
-def _check_weights(
-    presentation: RingPresentation, weights: WeightVector, allow_negative: bool
-) -> tuple[int, ...]:
-    weights = tuple(weights)
-    if len(weights) != len(presentation.variables):
-        raise ValueError("weight vector length does not match the variable count")
-    if any(not isinstance(w, int) for w in weights):
-        raise ValueError("weights must be integers")
-    if not allow_negative and any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative here")
-    return weights

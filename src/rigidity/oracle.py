@@ -251,6 +251,8 @@ def bounded_search(
     levels = min(sum(d + 1 for d in bounds), DEFAULT_CEILING.bit_length())
     if count ** levels > DEFAULT_CEILING:
         raise SearchSpaceError(f"search space exceeds the ceiling of {DEFAULT_CEILING} tuples")
+    if count == 1:  # a one-value window lists only zero vectors: no candidate
+        return SearchOutcome(status=NONE_WITHIN_BOUNDS, candidates=None, examined=0)
     window = range(-coefficient_window, coefficient_window + 1)
     values = [(re, im) for re in window for im in (window if gaussian else (0,))]
     allow_constant = all(d == 0 for d in bounds)

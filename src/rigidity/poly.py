@@ -367,20 +367,15 @@ class Polynomial:
         weights = self._check_weights(weights)
         if not self.terms:
             raise ValueError("top_part of the zero polynomial is undefined")
-        degree = self.weighted_degree(weights)
-        kept = {
-            exps: coeff
-            for exps, coeff in self.terms.items()
-            if sum(w * e for w, e in zip(weights, exps)) == degree
-        }
+        degrees = {exps: sum(w * e for w, e in zip(weights, exps)) for exps in self.terms}
+        top = max(degrees.values())
+        kept = {exps: coeff for exps, coeff in self.terms.items() if degrees[exps] == top}
         return self._raw(self.variables, kept)
 
     def _check_weights(self, weights: WeightVector) -> tuple[int, ...]:
         weights = tuple(weights)
         if len(weights) != len(self.variables):
-            raise ValueError(
-                f"weight vector {weights!r} does not match variables {self.variables!r}"
-            )
+            raise ValueError("weight vector length does not match the variable count")
         if any(not isinstance(w, int) for w in weights):
             raise ValueError("weights must be integers")
         return weights

@@ -508,6 +508,107 @@ def test_negative_list_is_a_flag_value(capsys):
     assert json.loads(spaced)["result"]["weights"] == [-1, 0]
 
 
+WEIGHT_LENGTH = "weight vector length does not match the variable count"
+POSITIVE = "negative-grading certification needs strictly positive weights"
+# D(Y) = 2*Z, D(Z) = -X^2 on X^2*Y + Z^2; the probe certifies it in (1, 3, 2) steps.
+VERIFY_WEIGHTS = [
+    "verify-derivation", "--relation", "X^2*Y + Z^2", "--vars", "X,Y,Z",
+    "--image", "Y=2*Z", "--image", "Z=-X^2",
+]
+PROBE = {
+    "status": "certified",
+    "certificate": "iteration",
+    "steps_per_generator": [1, 3, 2],
+    "bound_used": 64,
+    "detail": "",
+}
+
+
+def _inapplicable(detail):
+    return {"status": "inapplicable", "detail": detail}
+
+
+def _graded(status, detail, weights, drop):
+    return {
+        "status": status,
+        "certificate": "negative_grading" if status == "certified" else None,
+        "steps_per_generator": None,
+        "bound_used": 0,
+        "detail": detail,
+        "weights": weights,
+        "degree_drop": drop,
+    }
+
+
+def test_gr_refuses_a_wrong_length_weight_vector(capsys):
+    argv = ["gr", "--relation", "X^2 + Y^3", "--weights", "3", "--json", "--deterministic"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "schema_version": "1",
+        "command": "gr",
+        "error": {"type": "ValueError", "message": WEIGHT_LENGTH},
+    }
+
+
+@pytest.mark.parametrize(
+    "weights, negative_grading, jump",
+    [
+        ("1,1", _inapplicable(WEIGHT_LENGTH), WEIGHT_LENGTH),
+        ("1,0,1", _inapplicable(POSITIVE), 1),
+        ("-1,4,1", _inapplicable(POSITIVE), "degree jumps need nonnegative weights"),
+        (
+            "1,1,1",
+            _inapplicable("the relation is not homogeneous for these weights"),
+            "coset degrees are not certified exact for this graded relation",
+        ),
+        (
+            "1,4,3",
+            _graded("certified", "every image drops the grading by at least 1", [1, 4, 3], -1),
+            -1,
+        ),
+        (
+            "2,2,3",
+            _graded("inconclusive", "maximal degree jump is 1, not negative", [2, 2, 3], 1),
+            1,
+        ),
+    ],
+    ids=["wrong-length", "zero", "negative", "inhomogeneous", "certified", "inconclusive"],
+)
+def test_verify_derivation_weight_payloads(weights, negative_grading, jump, capsys):
+    argv = VERIFY_WEIGHTS + [f"--weights={weights}", "--json", "--deterministic"]
+    assert main(argv) == 0
+    result = {
+        "well_defined": True,
+        "nonzero": True,
+        "probe": PROBE,
+        "negative_grading": negative_grading,
+        "degree_jump": jump,
+    }
+    if isinstance(jump, str):
+        result.update(degree_jump=None, degree_jump_detail=jump)
+    assert json.loads(capsys.readouterr().out) == {
+        "schema_version": "1",
+        "command": "verify-derivation",
+        "result": result,
+    }
+
+
+def test_verify_zero_derivation_with_weights(capsys):
+    argv = VERIFY_WEIGHTS[:5] + ["--weights", "1,4,3", "--json", "--deterministic"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "well_defined": True,
+        "nonzero": False,
+        "probe": {**PROBE, "steps_per_generator": [1, 1, 1]},
+        "negative_grading": {
+            **_graded("certified", "zero derivation", [1, 4, 3], None),
+            "steps_per_generator": [0, 0, 0],
+        },
+        "degree_jump": None,
+        "degree_jump_detail": "the zero derivation has no degree jump",
+    }
+
+
 def test_closed_stdout_exits_quietly():
     # No process holds the read end, so the first write fails with EPIPE.
     read_end, write_end = os.pipe()

@@ -8,6 +8,7 @@ from rigidity import (
     InexactDegreeError,
     Polynomial,
     RingPresentation,
+    certify_by_negative_grading,
     coset_degree,
     derivation_degree_jump,
     gens,
@@ -72,6 +73,35 @@ def test_gr_presentation_rejects_non_integer_weights():
         gr_presentation(base, (1.7, 1, 1))
     with pytest.raises(ValueError, match="integers"):
         gr_presentation(base, (15, 10, 6.0))
+
+
+WEIGHT_RELATION = RingPresentation(XYZ, X**2 * Y + Z**2)
+# Each takes a weight vector for X, Y, Z and leaves its validation to Polynomial.
+WEIGHT_USERS = {
+    "top_part": WEIGHT_RELATION.relation.top_part,
+    "weighted_degree": WEIGHT_RELATION.relation.weighted_degree,
+    "gr_presentation": lambda w: gr_presentation(WEIGHT_RELATION, w),
+    "coset_degree": lambda w: coset_degree(WEIGHT_RELATION.normal_form(X + Z), w),
+    "certify_by_negative_grading": lambda w: certify_by_negative_grading(
+        make_derivation(WEIGHT_RELATION, [0, 2 * Z, -(X**2)]), w
+    ),
+}
+
+
+@pytest.mark.parametrize("user", WEIGHT_USERS)
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((1, 4), "weight vector length does not match the variable count"),
+        ((1, 4.0, 3), "weights must be integers"),
+        ((1, 4, -3.0), "weights must be integers"),
+    ],
+    ids=["short", "float", "negative-float"],
+)
+def test_one_weight_check_for_every_user(user, weights, message):
+    with pytest.raises(ValueError) as info:
+        WEIGHT_USERS[user](weights)
+    assert str(info.value) == message
 
 
 def test_negative_weights_allowed_when_top_is_honest():

@@ -371,6 +371,22 @@ def test_search_space_ceiling_is_checked_before_the_window_is_listed(gaussian):
     assert peak < 2**20, peak
 
 
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_one_value_window_lists_nothing(gaussian):
+    # Window 0 holds only the zero coefficient, so no tuple of nonzero
+    # polynomials exists and no level is built.
+    X, Y = gens("X", "Y")
+    problem = zero_problem(X**2 + Y**2, (0, 3_000_000))
+    tracemalloc.start()
+    try:
+        outcome = bounded_search(problem, coefficient_window=0, gaussian=gaussian)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.candidates, outcome.examined) == ("NoneWithinBounds", None, 0)
+    assert peak < 2**20, peak
+
+
 # The last variable occurs only in terms of its own, so the last level is
 # looked up by the value its row must add, except in the two fallbacks.
 INDEXED_CASES = [
