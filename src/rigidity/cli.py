@@ -35,6 +35,7 @@ from .families import classify, recognize_family
 from .grading import derivation_degree_jump, gr_presentation
 from .mason import mason_check, obstruction_check
 from .oracle import (
+    DEFAULT_WINDOW,
     HOMOGENEOUS_ZERO,
     UNIT_TARGET,
     ParametrizationProblem,
@@ -57,7 +58,9 @@ class _ArgumentParser(argparse.ArgumentParser):
     commands: tuple[str, ...] = ()
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        # A flag is spelled in full: an abbreviation such as ``--js`` would
+        # slip past the ``--json`` test in ``main``.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # No flag starts with a minus and a digit, so such a word is a value,
         # for example the weight list in ``--weights -1,0``.
         self._negative_number_matcher = re.compile(r"^-\d")
@@ -84,18 +87,14 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _infer_variables(relation_text: str) -> tuple[str, ...]:
-    """Default variable list: the X,Y,Z,T prefix covering every name used."""
-    names = {
-        text for kind, text, _ in _tokenize(relation_text) if kind == "name" and text != "i"
-    }
-    if not names:
-        return DEFAULT_VARIABLES[:1]
-    arity = 0
-    for name in names:
+    """Default variable list: the X,Y,Z,T prefix covering every name used;
+    the first other name, in text order, is refused."""
+    arity = 1
+    for kind, name, _ in _tokenize(relation_text):
+        if kind != "name" or name == "i":
+            continue
         if name not in DEFAULT_VARIABLES:
-            raise CliInputError(
-                f"variable {name!r} is outside the default X,Y,Z,T; pass --vars"
-            )
+            raise CliInputError(f"variable {name!r} is outside the default X,Y,Z,T; pass --vars")
         arity = max(arity, DEFAULT_VARIABLES.index(name) + 1)
     return DEFAULT_VARIABLES[:arity]
 
@@ -105,46 +104,48 @@ def _parse(text: str, variables: Sequence[str]) -> Polynomial:
     return parse_poly(text, variables, max_exponent=MAX_EXPONENT)
 
 
-def _resolve_variables(args: argparse.Namespace) -> tuple[str, ...]:
-    if args.vars is not None:
-        names = tuple(_split_csv(args.vars, "--vars"))
-        if len(set(names)) != len(names):
+def _relation(args: argparse.Namespace) -> tuple[tuple[str, ...], Polynomial]:
+    """The variables (``--vars``, or inferred) and the parsed ``--relation``."""
+    if args.vars is None:
+        variables = _infer_variables(args.relation)
+    else:
+        variables = tuple(_split_csv(args.vars, "--vars"))
+        if len(set(variables)) != len(variables):
             raise CliInputError(f"--vars has repeated names: {args.vars!r}")
-        return names
-    return _infer_variables(args.relation)
+    return variables, _parse(args.relation, variables)
 
 
-def _parse_assignments(
-    pairs: Sequence[str], variables: tuple[str, ...], flag: str
-) -> dict[str, str]:
-    images: dict[str, str] = {}
-    for pair in pairs:
+def _assigned(
+    pairs: Optional[Sequence[str]], variables: tuple[str, ...], target: tuple[str, ...], flag: str
+) -> list[Polynomial]:
+    """One polynomial in ``target`` per variable: its ``VAR=POLY`` pair
+    under ``flag``, or zero."""
+    texts: dict[str, str] = {}
+    for pair in pairs or ():
         name, eq, text = pair.partition("=")
         name = name.strip()
         if not eq or not name:
             raise CliInputError(f"{flag} expects VAR=POLY, got {pair!r}")
         if name not in variables:
             raise CliInputError(f"{flag}: {name!r} is not one of {', '.join(variables)}")
-        if name in images:
+        if name in texts:
             raise CliInputError(f"{flag}: duplicate assignment for {name!r}")
-        images[name] = text
-    return images
+        texts[name] = text
+    return [
+        _parse(texts[v], target) if v in texts else Polynomial.zero(target) for v in variables
+    ]
 
 
 def _probe_payload(report: NilpotencyReport) -> dict:
     payload = {
         "status": report.status,
         "certificate": report.certificate,
-        "steps_per_generator": (
-            list(report.steps_per_generator)
-            if report.steps_per_generator is not None
-            else None
-        ),
+        "steps_per_generator": report.steps_per_generator,
         "bound_used": report.bound_used,
         "detail": report.detail,
     }
     if report.weights is not None:
-        payload["weights"] = list(report.weights)
+        payload["weights"] = report.weights
         payload["degree_drop"] = report.degree_drop
     return payload
 
@@ -157,40 +158,32 @@ def _witness_payload(witness: Derivation) -> dict[str, str]:
 
 
 def cmd_classify(args: argparse.Namespace) -> dict:
-    variables = _resolve_variables(args)
-    relation = _parse(args.relation, variables)
+    variables, relation = _relation(args)
     descriptor = recognize_family(relation)
     verdict = classify(descriptor)
     result = {
         "family": {
             "kind": descriptor.kind,
-            "exponents": list(descriptor.exponents),
-            "variables": list(descriptor.variables),
-            "roles": list(descriptor.roles),
+            "exponents": descriptor.exponents,
+            "variables": descriptor.variables,
+            "roles": descriptor.roles,
         },
         "status": verdict.status,
         "citation": verdict.citation,
-        "notes": list(verdict.notes),
+        "notes": verdict.notes,
         "witness": None,
     }
     if verdict.witness is not None:
         result["witness"] = _witness_payload(verdict.witness)
         if verdict.witness_report is not None:
-            result["witness_steps"] = list(verdict.witness_report.steps_per_generator)
+            result["witness_steps"] = verdict.witness_report.steps_per_generator
     return result
 
 
 def cmd_verify_derivation(args: argparse.Namespace) -> dict:
-    variables = _resolve_variables(args)
-    relation = _parse(args.relation, variables)
+    variables, relation = _relation(args)
     presentation = RingPresentation(variables, relation)
-    assignments = _parse_assignments(args.image or (), variables, "--image")
-    images = [
-        _parse(assignments[v], variables)
-        if v in assignments
-        else Polynomial.zero(variables)
-        for v in variables
-    ]
+    images = _assigned(args.image, variables, variables, "--image")
     try:
         derivation = make_derivation(presentation, images)
     except IllDefinedDerivationError as exc:
@@ -217,18 +210,17 @@ def cmd_verify_derivation(args: argparse.Namespace) -> dict:
 
 
 def cmd_gr(args: argparse.Namespace) -> dict:
-    variables = _resolve_variables(args)
-    relation = _parse(args.relation, variables)
+    variables, relation = _relation(args)
     presentation = RingPresentation(variables, relation)
     weights = _parse_int_list(args.weights, "--weights")
     graded = gr_presentation(presentation, weights)
     top = graded.quotient.relation
     return {
         "relation": format_poly(relation),
-        "weights": list(graded.weights),
+        "weights": graded.weights,
         "top_part": format_poly(top),
         "homogeneous": top == relation,
-        "variables": list(variables),
+        "variables": variables,
     }
 
 
@@ -237,10 +229,7 @@ def cmd_mason(args: argparse.Namespace) -> dict:
     if any(not piece for piece in pieces):
         raise CliInputError(f"--polys expects 'p1;p2;...', got {args.polys!r}")
     polys = [_parse(piece, (args.var,)) for piece in pieces]
-    result = dataclasses.asdict(mason_check(polys))
-    # Human output prints a tuple as one scalar; a list gets one line each.
-    result["distinct_roots_each"] = list(result["distinct_roots_each"])
-    return result
+    return dataclasses.asdict(mason_check(polys))
 
 
 def cmd_obstruct(args: argparse.Namespace) -> dict:
@@ -260,17 +249,9 @@ def cmd_obstruct(args: argparse.Namespace) -> dict:
 
 
 def cmd_param_verify(args: argparse.Namespace) -> dict:
-    variables = _resolve_variables(args)
-    relation = _parse(args.relation, variables)
+    variables, relation = _relation(args)
     problem = ParametrizationProblem(relation, args.constraint)
-    assignments = _parse_assignments(args.sub or (), variables, "--sub")
-    parameter = (args.param_var,)
-    candidates = [
-        _parse(assignments[v], parameter)
-        if v in assignments
-        else Polynomial.zero(parameter)
-        for v in variables
-    ]
+    candidates = _assigned(args.sub, variables, (args.param_var,), "--sub")
     check = verify_parametrization(problem, candidates)
     return {
         "constraint": args.constraint,
@@ -280,8 +261,7 @@ def cmd_param_verify(args: argparse.Namespace) -> dict:
 
 
 def cmd_search(args: argparse.Namespace) -> dict:
-    variables = _resolve_variables(args)
-    relation = _parse(args.relation, variables)
+    variables, relation = _relation(args)
     bounds = _parse_int_list(args.max_deg, "--max-deg")
     if len(bounds) != len(variables):
         raise CliInputError(
@@ -311,14 +291,14 @@ def _human_lines(value, indent: int = 0) -> list[str]:
     lines: list[str] = []
     if isinstance(value, dict):
         for key, item in value.items():
-            if isinstance(item, (dict, list)) and item:
+            if isinstance(item, (dict, list, tuple)) and item:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_human_lines(item, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_scalar(item)}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for item in value:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 lines.extend(_human_lines(item, indent + 1))
             else:
@@ -333,7 +313,7 @@ def _scalar(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "[]"
     if isinstance(value, dict):
         return "{}"
@@ -349,26 +329,26 @@ def build_parser() -> _ArgumentParser:
         action="store_true",
         help="omit timing so the output is byte-stable",
     )
+    relation = _ArgumentParser(add_help=False)
+    relation.add_argument("--relation", required=True)
+    relation.add_argument("--vars", default=None, help="comma-separated variable names")
+    target = _ArgumentParser(add_help=False)
+    target.add_argument("--constraint", choices=(HOMOGENEOUS_ZERO, UNIT_TARGET), default=HOMOGENEOUS_ZERO)
+    target.add_argument("--param-var", default="S")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="classify a hypersurface relation")
-    p.add_argument("--relation", required=True)
-    p.add_argument("--vars", default=None, help="comma-separated variable names")
+    p = sub.add_parser("classify", parents=[common, relation], help="classify a hypersurface relation")
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser(
-        "verify-derivation", parents=[common], help="check generator images for a quotient"
+        "verify-derivation", parents=[common, relation], help="check generator images for a quotient"
     )
-    p.add_argument("--relation", required=True)
-    p.add_argument("--vars", default=None)
     p.add_argument("--image", action="append", metavar="VAR=POLY")
     p.add_argument("--probe-bound", type=int, default=DEFAULT_PROBE_BOUND)
     p.add_argument("--weights", default=None, help="comma-separated integer weights")
     p.set_defaults(handler=cmd_verify_derivation)
 
-    p = sub.add_parser("gr", parents=[common], help="top part and graded presentation")
-    p.add_argument("--relation", required=True)
-    p.add_argument("--vars", default=None)
+    p = sub.add_parser("gr", parents=[common, relation], help="top part and graded presentation")
     p.add_argument("--weights", required=True)
     p.set_defaults(handler=cmd_gr)
 
@@ -382,22 +362,18 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--params", required=True, help="comma-separated k=v integers")
     p.set_defaults(handler=cmd_obstruct)
 
-    p = sub.add_parser("param-verify", parents=[common], help="check a candidate parametrization")
-    p.add_argument("--relation", required=True)
-    p.add_argument("--vars", default=None)
+    p = sub.add_parser(
+        "param-verify", parents=[common, relation, target], help="check a candidate parametrization"
+    )
     p.add_argument("--sub", action="append", metavar="VAR=POLY")
-    p.add_argument("--constraint", choices=(HOMOGENEOUS_ZERO, UNIT_TARGET), default=HOMOGENEOUS_ZERO)
-    p.add_argument("--param-var", default="S")
     p.set_defaults(handler=cmd_param_verify)
 
-    p = sub.add_parser("search", parents=[common], help="bounded search for parametrizations")
-    p.add_argument("--relation", required=True)
-    p.add_argument("--vars", default=None)
+    p = sub.add_parser(
+        "search", parents=[common, relation, target], help="bounded search for parametrizations"
+    )
     p.add_argument("--max-deg", required=True, help="comma-separated degree bounds")
-    p.add_argument("--coeff-window", type=int, default=2)
+    p.add_argument("--coeff-window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--gaussian", action="store_true")
-    p.add_argument("--constraint", choices=(HOMOGENEOUS_ZERO, UNIT_TARGET), default=HOMOGENEOUS_ZERO)
-    p.add_argument("--param-var", default="S")
     p.set_defaults(handler=cmd_search)
 
     parser.commands = tuple(sub.choices)
@@ -460,8 +436,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         command = argv[0] if argv and argv[0] in parser.commands else None
         _emit(_error_payload(command, type(exc).__name__, str(exc)), True, sys.stdout)
         return 1
-    as_json = getattr(args, "json", False)
-    deterministic = getattr(args, "deterministic", False)
+    as_json = args.json
     started = time.perf_counter()
     try:
         result = args.handler(args)
@@ -478,7 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "command": args.command,
         "result": result,
     }
-    if as_json and not deterministic:
+    if as_json and not args.deterministic:
         payload["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
     _emit(payload, as_json, sys.stdout)
     return 0

@@ -212,8 +212,9 @@ def test_wrong_obstruction_parameters_exit_1(capsys):
     assert "takes parameters" in message
 
 
-def test_missing_required_flag_exits_1(capsys):
-    code = main(["classify"])
+@pytest.mark.parametrize("command", ["classify", "verify-derivation", "gr", "param-verify", "search"])
+def test_missing_required_flag_exits_1(command, capsys):
+    code = main([command])
     captured = capsys.readouterr()
     assert code == 1
     assert "--relation" in captured.err
@@ -408,6 +409,14 @@ def test_names_outside_the_default_prefix_need_vars(capsys):
     assert "pass --vars" in capsys.readouterr().err
 
 
+def test_refused_name_is_the_first_in_text_order():
+    # The names are met as W, V, U; the message must not depend on hash order.
+    argv = ["classify", "--relation", "W^2 + V + U", "--json", "--deterministic"]
+    outputs = {_run_cli(argv, PYTHONHASHSEED=str(seed)).stdout for seed in range(1, 7)}
+    assert len(outputs) == 1
+    assert "variable 'W' is outside" in outputs.pop().decode()
+
+
 def test_explicit_vars_override_inference(capsys):
     code = main(
         ["param-verify", "--relation", "U^2 + V^2", "--vars", "U,V",
@@ -449,6 +458,94 @@ def test_human_mason_lists_each_root_count(capsys):
     assert lines[start + 1:start + 5] == ["  - 2", "  - 1", "  - 0", "distinct_roots_product: 3"]
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["classify", "--relation", "X^2 + Y^2 + Z^3"],
+            [
+                "family:",
+                "  kind: Fermat3",
+                "  exponents:",
+                "    - 2",
+                "    - 2",
+                "    - 3",
+                "  variables:",
+                "    - X",
+                "    - Y",
+                "    - Z",
+                "  roles:",
+                "    - X",
+                "    - Y",
+                "    - Z",
+                "status: NotRigid",
+                "citation: derived witness: two quadratic slots factor as X*Y after a linear"
+                " change of variables",
+                "notes:",
+                "  - two smallest exponents are 2",
+                "witness:",
+                "  X: -3/2*Z^2",
+                "  Y: -3/2i*Z^2",
+                "  Z: X + i*Y",
+                "witness_steps:",
+                "  - 4",
+                "  - 4",
+                "  - 2",
+            ],
+        ),
+        (
+            [
+                "verify-derivation", "--relation", "X*Y - Z^2",
+                "--image", "Y=2*Z", "--image", "Z=X", "--weights", "1,1,1",
+            ],
+            [
+                "well_defined: true",
+                "nonzero: true",
+                "probe:",
+                "  status: certified",
+                "  certificate: iteration",
+                "  steps_per_generator:",
+                "    - 1",
+                "    - 3",
+                "    - 2",
+                "  bound_used: 64",
+                "  detail: ",
+                "negative_grading:",
+                "  status: inconclusive",
+                "  certificate: none",
+                "  steps_per_generator: none",
+                "  bound_used: 0",
+                "  detail: maximal degree jump is 0, not negative",
+                "  weights:",
+                "    - 1",
+                "    - 1",
+                "    - 1",
+                "  degree_drop: 0",
+                "degree_jump: 0",
+            ],
+        ),
+        (
+            ["gr", "--relation", "X^2 - Y", "--vars", "X,Y", "--weights", "1,0"],
+            [
+                "relation: X^2 - Y",
+                "weights:",
+                "  - 1",
+                "  - 0",
+                "top_part: X^2",
+                "homogeneous: false",
+                "variables:",
+                "  - X",
+                "  - Y",
+            ],
+        ),
+    ],
+    ids=["classify", "verify-derivation", "gr"],
+)
+def test_human_output_prints_each_sequence_entry_on_its_line(argv, expected, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
 def test_human_errors_go_to_stderr(capsys):
     code = main(["obstruct", "--pattern", "nosuch", "--params", "a=1"])
     captured = capsys.readouterr()
@@ -485,6 +582,7 @@ def test_nesting_depth_limit_through_main(depth, code, capsys):
         (["gr", "--relation", "X", "--weights", "1", "--bogus", "--json"], "gr", "--bogus"),
         (["frobnicate", "--json"], None, "frobnicate"),
         (["--json"], None, "command"),
+        (["classify", "--rel", "X", "--json"], "classify", "--relation"),
     ],
 )
 def test_usage_errors_keep_the_json_contract(argv, command, needle, capsys):
@@ -497,6 +595,11 @@ def test_usage_errors_keep_the_json_contract(argv, command, needle, capsys):
     assert payload["command"] == command
     assert payload["error"]["type"] == "CliInputError"
     assert needle in payload["error"]["message"]
+
+
+def test_abbreviated_flags_are_refused(capsys):
+    assert main(["classify", "--relation", "X", "--js"]) == 1
+    assert "unrecognized arguments: --js" in capsys.readouterr().err
 
 
 def test_negative_list_is_a_flag_value(capsys):
@@ -609,18 +712,22 @@ def test_verify_zero_derivation_with_weights(capsys):
     }
 
 
+def _run_cli(argv, stdout=subprocess.PIPE, **environ) -> subprocess.CompletedProcess:
+    """``rigidity argv`` in a fresh interpreter, with ``environ`` added."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from rigidity.cli import main; sys.exit(main())", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env={**env, **environ}, timeout=120,
+    )
+
+
 def test_closed_stdout_exits_quietly():
     # No process holds the read end, so the first write fails with EPIPE.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     try:
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from rigidity.cli import main; sys.exit(main())",
-             "classify", "--relation", "X^2*Y + Z^2"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
-        )
+        proc = _run_cli(["classify", "--relation", "X^2*Y + Z^2"], stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.stderr == b""
