@@ -430,7 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except CliInputError as exc:
-        if "--json" not in argv:
+        if not any(arg == "--json" or arg.startswith("--json=") for arg in argv):
             print(f"error: {exc}", file=sys.stderr)
             return 1
         command = argv[0] if argv and argv[0] in parser.commands else None

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, le, sub
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .gauss import ScalarLike
-from .poly import GaussianInt, Polynomial, UnknownVariableError, _integral
+from .poly import GaussianInt, InternalInvariantError, Polynomial, UnknownVariableError, _integral
 from .quotient import PresentationMismatchError, RingElement, RingPresentation
 
 DEFAULT_PROBE_BOUND = 64
@@ -73,10 +73,7 @@ def make_derivation(
         )
     elements = tuple(presentation.normal_form(img) for img in images)
     relation = presentation.relation
-    defect = Polynomial.zero(presentation.variables)
-    for name, img in zip(presentation.variables, elements):
-        defect = defect + img.rep * relation.diff(name)
-    if not relation.divides(defect):
+    if not relation.divides(_lift_apply([img.rep for img in elements], relation)):
         raise IllDefinedDerivationError(
             "images do not define a derivation: D(relation) is not in the ideal"
         )
@@ -87,16 +84,19 @@ def apply(derivation: Derivation, element: RingElement) -> RingElement:
     """Apply the derivation to a residue class (via its canonical lift)."""
     if element.presentation != derivation.presentation:
         raise PresentationMismatchError("element lives in a different quotient ring")
-    lift = element.rep
-    out = Polynomial.zero(lift.variables)
-    for name, img in zip(derivation.presentation.variables, derivation.images):
-        if img.is_zero:
-            continue
-        partial = lift.diff(name)
-        if partial.is_zero:
-            continue
-        out = out + img.rep * partial
-    return derivation.presentation.normal_form(out)
+    images = [img.rep for img in derivation.images]
+    return derivation.presentation.normal_form(_lift_apply(images, element.rep))
+
+
+def _lift_apply(images: Sequence[Polynomial], p: Polynomial) -> Polynomial:
+    """sum_i images[i] * dp/dx_i, not reduced by the relation."""
+    out = Polynomial.zero(p.variables)
+    for name, img in zip(p.variables, images):
+        if img:
+            partial = p.diff(name)
+            if partial:
+                out = out + img * partial
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,10 @@ def _integral_terms(p: Polynomial) -> _Pairs:
     return dict(zip(p.terms, _integral(list(p.terms.values()))))
 
 
-def _integral_images(derivation: Derivation) -> list[tuple[int, list]]:
-    """The nonzero images times one common denominator, as pairs (k, terms)
-    with each term (exponents minus the unit vector of k, (re, im))."""
-    found = [(k, img.rep.terms) for k, img in enumerate(derivation.images) if not img.is_zero]
+def _integral_images(images: Sequence[Polynomial]) -> list[tuple[int, list]]:
+    """The nonzero images D(x_k) times one common denominator, as pairs
+    (k, terms) with each term (exponents minus the unit vector of k, (re, im))."""
+    found = [(k, img.terms) for k, img in enumerate(images) if img]
     pairs = iter(_integral([c for _, terms in found for c in terms.values()]))
     images = []
     for k, terms in found:
@@ -146,6 +146,44 @@ def _integral_images(derivation: Derivation) -> list[tuple[int, list]]:
             shifted.append((tuple(lowered), next(pairs)))
         images.append((k, shifted))
     return images
+
+
+def _kernel_transport(v: str, g: Polynomial) -> Callable[[Polynomial], Polynomial]:
+    """phi: x_v -> (y_v - h)/c, for g = c*x_v + h with c a nonzero constant
+    and h free of x_v; y_v keeps the name v, and phi(g) = y_v.
+
+    Terms free of x_v are copied; the others are expanded with cached powers
+    of phi(x_v).
+    """
+    slope = g.diff(v) if v in g.variables else None
+    if not slope or not slope.is_constant:
+        raise InternalInvariantError(
+            f"kernel element {g!r} is not c*{v} + h with c a nonzero constant and h free of {v}"
+        )
+    k = g.variables.index(v)
+    inverse = slope.constant_value().inverse()
+    # phi(x_v) has the terms of g: 1/c at x_v and -h_e/c elsewhere.
+    image = {e: inverse if e[k] else -coeff * inverse for e, coeff in g.terms.items()}
+    powers = [None, Polynomial._raw(g.variables, image)]
+
+    def phi(p: Polynomial) -> Polynomial:
+        out = {exps: coeff for exps, coeff in p.terms.items() if not exps[k]}
+        if len(out) == len(p.terms):
+            return p
+        for exps, coeff in p.terms.items():
+            e = exps[k]
+            if not e:
+                continue
+            while len(powers) <= e:
+                powers.append(powers[-1] * powers[1])
+            base = exps[:k] + (0,) + exps[k + 1 :]
+            for step, factor in powers[e].terms.items():
+                target = tuple(map(add, base, step))
+                old = out.get(target)
+                out[target] = coeff * factor if old is None else old + coeff * factor
+        return Polynomial._raw(p.variables, {e: c for e, c in out.items() if c})
+
+    return phi
 
 
 def _integral_relation(relation: Polynomial) -> tuple[tuple[int, ...], int, list]:
@@ -235,7 +273,9 @@ def _pseudo_normal_form(work: _Pairs, lead: tuple[int, ...], norm: int, tail: li
 
 
 def probe_nilpotency(
-    derivation: Derivation, bound: int = DEFAULT_PROBE_BOUND
+    derivation: Derivation,
+    bound: int = DEFAULT_PROBE_BOUND,
+    kernel: Optional[tuple[str, Polynomial]] = None,
 ) -> NilpotencyReport:
     """Iterate the derivation on each generator until zero or budget runs out.
 
@@ -249,23 +289,45 @@ def probe_nilpotency(
     Normal form modulo one relation is linear, so the multiple is zero
     exactly when the normal form is and has as many terms; the steps and
     the term ceiling come out as over Q(i).
+
+    A kernel element ``kernel = (v, g)`` with D(g) = 0 and g = c*x_v + h,
+    c a nonzero constant and h free of x_v, makes the probe run in the
+    coordinates where g replaces x_v: the relation, the images (with
+    D(y_v) = 0) and the start elements x_i are carried through
+    phi: x_v -> (y_v - h)/c.  phi induces an isomorphism of the quotient
+    rings, so the steps are the same; the term ceiling counts terms in the
+    new coordinates, where a Jacobian witness J(f, g, ...) is triangular.
+    A kernel element that fails these conditions is an internal fault.
     """
     if bound < 1:
         raise ValueError("probe bound must be positive")
     presentation = derivation.presentation
-    images = _integral_images(derivation)
-    lead, norm, tail = _integral_relation(presentation.relation)
+    relation = presentation.relation
+    images = [img.rep for img in derivation.images]
+    variables = relation.variables
+    starts = [Polynomial.variable(variables, name) for name in variables]
+    if kernel is not None:
+        v, g = kernel
+        phi = _kernel_transport(v, g)
+        if g.variables != variables or not relation.divides(_lift_apply(images, g)):
+            raise InternalInvariantError(f"{g!r} is not in the kernel of the derivation")
+        relation = phi(relation)
+        images = [Polynomial.zero(variables) if name == v else phi(img) for name, img in zip(variables, images)]
+        starts = [phi(start) for start in starts]
+    pairs = _integral_images(images)
+    lead, norm, tail = _integral_relation(relation)
     steps = []
-    for gen in presentation.generators():
-        current = _integral_terms(gen.rep)
+    for name, start in zip(variables, starts):
+        current = _pseudo_normal_form(_integral_terms(start), lead, norm, tail)
         n = 0
         while current:
             if n >= bound:
-                detail = f"generator {gen.rep!r} not annihilated within {bound} steps"
+                generator = presentation.generator(name).rep
+                detail = f"generator {generator!r} not annihilated within {bound} steps"
             elif len(current) > DEFAULT_TERM_CEILING:
                 detail = f"iterate exceeded {DEFAULT_TERM_CEILING} terms"
             else:
-                current = _pseudo_normal_form(_apply_pairs(current, images), lead, norm, tail)
+                current = _pseudo_normal_form(_apply_pairs(current, pairs), lead, norm, tail)
                 n += 1
                 continue
             return NilpotencyReport("inconclusive", None, None, bound, detail)

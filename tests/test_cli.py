@@ -268,7 +268,7 @@ def test_ill_defined_derivation_is_a_result_not_an_error(capsys):
 
 
 def test_corrupt_witness_reverification_exits_2(monkeypatch, capsys):
-    def refuse(derivation, bound):
+    def refuse(derivation, bound, kernel=None):
         return NilpotencyReport(
             status="inconclusive",
             certificate=None,
@@ -583,6 +583,7 @@ def test_nesting_depth_limit_through_main(depth, code, capsys):
         (["frobnicate", "--json"], None, "frobnicate"),
         (["--json"], None, "command"),
         (["classify", "--rel", "X", "--json"], "classify", "--relation"),
+        (["classify", "--relation", "X", "--json=1"], "classify", "ignored explicit argument '1'"),
     ],
 )
 def test_usage_errors_keep_the_json_contract(argv, command, needle, capsys):

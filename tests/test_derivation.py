@@ -7,6 +7,7 @@ import pytest
 from rigidity import (
     Derivation,
     IllDefinedDerivationError,
+    InternalInvariantError,
     NilpotencyReport,
     Polynomial,
     PresentationMismatchError,
@@ -19,10 +20,13 @@ from rigidity import (
     gens,
     make_derivation,
     mixed_four,
+    parse_poly,
     probe_nilpotency,
+    recognize_family,
     three_term_xy,
 )
 import rigidity.derivation as derivation_module
+import rigidity.families as families_module
 from rigidity.gauss import GaussianRational, gq
 
 from helpers import nonzero_random_poly, random_poly
@@ -342,7 +346,7 @@ def test_each_z_i_iterate_is_a_primitive_multiple_of_the_q_i_iterate():
         j, k = rng.sample(XYZ, 2)
         images = {j: -f.diff(k), k: f.diff(j)}
         d = make_derivation(RingPresentation(XYZ, f), [images.get(v, 0) for v in XYZ])
-        pairs = derivation_module._integral_images(d)
+        pairs = derivation_module._integral_images([img.rep for img in d.images])
         lead, norm, tail = derivation_module._integral_relation(f)
         for gen in d.presentation.generators():
             exact, current = gen, derivation_module._integral_terms(gen.rep)
@@ -359,3 +363,77 @@ def test_each_z_i_iterate_is_a_primitive_multiple_of_the_q_i_iterate():
                 assert gcd(*[x for c in current.values() for x in c]) in (0, 1)
                 checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# the probe in the coordinates of a kernel element
+# ---------------------------------------------------------------------------
+
+
+def witness_certify_shapes(sizes):
+    """The four NotRigid shapes of the benchmark's witness_certify workload."""
+    for p in sizes:
+        yield fermat_3(2, 2, p)
+        yield recognize_family(parse_poly(f"X^2 + Y^2 + Z^{p} + T^{p + 2}", XYZT))
+        yield mixed_four(4, 2, 2, p)
+        yield mixed_four(p + 2, p, 2, 2)
+
+
+def test_the_probe_in_kernel_coordinates_matches_the_x_coordinate_probe(monkeypatch):
+    """Every criterion 01-03 witness that has a kernel element (v, g), with
+    the tables' coefficients and with non-unit ones, and the four
+    witness_certify shapes at sizes 2..30: the probe where g replaces v
+    reports what the probe in x-coordinates reports, and phi: x_v -> (y_v - h)/c
+    followed by its inverse y_v -> g is the identity on each generator."""
+    seen = []
+
+    def recording(derivation, bound, kernel=None):
+        report = probe_nilpotency(derivation, bound, kernel=kernel)
+        if kernel is not None:
+            seen.append((derivation, bound, kernel, report))
+        return report
+
+    monkeypatch.setattr(families_module, "probe_nilpotency", recording)
+    for _ in catalog_witnesses():
+        pass
+    for _ in catalog_witnesses(gq(2, -1), gq(Fraction(-3, 2), 5)):
+        pass
+    table_count = len(seen)
+    for desc in witness_certify_shapes(range(2, 31)):
+        assert classify(desc).witness is not None
+    # two squares X^2 + Y^2 + Z^c (7), the z*t product with c = d = 2 (7 * 7)
+    # and the even twist (7 exponent pairs (a, b) times 12 pairs (c, d)),
+    # once per coefficient choice
+    assert (table_count, len(seen) - table_count) == (2 * (7 + 49 + 84), 4 * 29)
+    for derivation, bound, (v, g), report in seen:
+        assert report == probe_nilpotency(derivation, bound), derivation
+        phi = derivation_module._kernel_transport(v, g)
+        variables = g.variables
+        inverse = {name: g if name == v else Polynomial.variable(variables, name) for name in variables}
+        assert phi(g) == Polynomial.variable(variables, v)
+        for name in variables:
+            x = Polynomial.variable(variables, name)
+            assert phi(x).substitute(inverse) == x
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        ("Y", X + Y**2),  # h involves Y
+        ("Y", X * Y + Z),  # the coefficient of Y is not a constant
+        ("Y", X + Z),  # the coefficient of Y is zero
+        ("W", X),  # W is not a generator
+        ("Y", Y + X),  # D(Y + X) = 2*Z is not in the ideal
+        ("Y", Polynomial.variable(("X", "Y"), "Y")),  # another ring
+    ],
+)
+def test_a_bad_kernel_element_is_an_internal_fault(danielewski, kernel):
+    with pytest.raises(InternalInvariantError):
+        probe_nilpotency(danielewski, kernel=kernel)
+
+
+def test_a_kernel_element_leaves_the_report_unchanged(danielewski):
+    # D(X) = 0, so 3*X - 1 may replace X.
+    report = probe_nilpotency(danielewski, kernel=("X", 3 * X - 1))
+    assert report == probe_nilpotency(danielewski)
+    assert report.steps_per_generator == (1, 3, 2)
