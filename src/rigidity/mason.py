@@ -6,7 +6,10 @@ mason_check verifies the hypotheses of the generalized n-term inequality and
 evaluates both degree bounds.  It counts N(f1*...*fn) from the entries with
 N(A*f) = N(A) + N(f) - N(gcd(A, f)), one gcd of the running product with
 each later entry, so the full product's derivative is never formed; the
-identity is exact for every tuple, coprime or not.  obstruction_check
+identity is exact for every tuple, coprime or not.  Nearly every gcd these
+counts ask for is 1, and gcd_univariate certifies those modulo a prime
+before its subresultant PRS, which then runs only on pairs that share a
+factor or that the prime cannot separate.  obstruction_check
 packages the closed-form arithmetic certificates that rule out nonconstant
 parametrizations for the supported exponent patterns.
 """

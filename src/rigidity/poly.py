@@ -612,6 +612,39 @@ def _subresultant_prs(p: list[GaussianInt], q: list[GaussianInt]) -> list[Gaussi
     return b or a
 
 
+# A prime p = 1 (mod 4) and a square root of -1 modulo p, so that
+# re + im*i -> re + _SQRT_M1*im is a ring map from Z[i] onto F_p.
+_P = 1_000_000_009
+_SQRT_M1 = 569_522_298
+
+
+def _coprime_mod_p(a: list[GaussianInt], b: list[GaussianInt]) -> bool:
+    """True only if the nonzero a and b are coprime over Q(i).
+
+    It maps both to F_p[x] and runs Euclid's remainder sequence there.  It
+    answers False when either leading coefficient maps to 0 or the
+    sequence ends in a nonconstant polynomial, which proves nothing.
+    """
+    f = [(re + _SQRT_M1 * im) % _P for re, im in a]
+    g = [(re + _SQRT_M1 * im) % _P for re, im in b]
+    if not f[-1] or not g[-1]:
+        return False
+    while len(g) > 1:
+        inv = pow(g[-1], -1, _P)
+        lower = g[:-1]
+        while len(f) >= len(g):  # f := f mod g
+            c = f.pop() * inv % _P
+            if c:
+                for i, y in enumerate(lower, len(f) - len(lower)):
+                    f[i] = (f[i] - c * y) % _P
+            while f and not f[-1]:
+                f.pop()
+        if not f:
+            return False
+        f, g = g, f
+    return True
+
+
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd over Q(i) of two univariate polynomials.
 
@@ -621,6 +654,13 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     converted back to Gaussian rationals.  gcd(0, q) is the monic
     normalisation of q; gcd(0, 0) is 0.  Nonzero constants behave as units,
     so any gcd involving one is 1.
+
+    Before the PRS, _coprime_mod_p certifies most coprime pairs with one
+    Euclidean sequence modulo a prime p, and the gcd is then 1; otherwise
+    the PRS runs unchanged.  The certificate is exact because the gcd,
+    taken primitive in Z[i][x], has a leading coefficient dividing lc(a).
+    So when lc(a) is nonzero modulo p, the gcd's image keeps its degree and
+    divides both images, and a constant gcd modulo p proves a constant gcd.
     """
     coeffs_p, coeffs_q = _univariate_pair(p, q)
     if not coeffs_p and not coeffs_q:
@@ -631,7 +671,7 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
         a, b = _integral(coeffs_p), _integral(coeffs_q)
         if len(a) < len(b):
             a, b = b, a
-        last = _subresultant_prs(a, b)
+        last = [(1, 0)] if _coprime_mod_p(a, b) else _subresultant_prs(a, b)
     if len(last) == 1:
         return Polynomial.constant(p.variables, 1)
     var = (p.occurring_variables() or q.occurring_variables())[0]

@@ -16,7 +16,9 @@ from rigidity import (
     mason_check,
     obstruction_check,
 )
+from rigidity.gauss import gq
 import rigidity.mason as mason_module
+import rigidity.poly as poly_module
 from rigidity.mason import MAX_TUPLE_LENGTH
 from rigidity.poly import NotUnivariateError
 
@@ -187,6 +189,39 @@ def test_product_root_count_on_tuples_with_shared_and_repeated_factors():
         checked += 1
     # Tuples on both sides of the Mason-Stothers hypotheses were checked.
     assert 10 <= violations <= 50
+
+
+def test_coprime_triples_skip_the_subresultant_prs(monkeypatch):
+    calls = []
+    real_prs = poly_module._subresultant_prs
+
+    def counting_prs(p, q):
+        calls.append((p, q))
+        return real_prs(p, q)
+
+    monkeypatch.setattr(poly_module, "_subresultant_prs", counting_prs)
+    # Shaped like the benchmark's mason triples: p and q have three terms,
+    # p a constant term, over Q and over Q(i).  Every gcd mason_check asks
+    # for is 1, and the modular certificate answers each one.
+    for p, q in [
+        (3 * S**9 - S**4 + gq(Fraction(5, 2)), -2 * S**8 + 4 * S**3 - S),
+        (
+            gq(1, 2) * S**6 + gq(3, -1) * S**2 - gq(0, 2),
+            gq(-2, 1) * S**5 + gq(Fraction(1, 2)) * S**3 + gq(0, 3) * S,
+        ),
+    ]:
+        report = mason_check([p, q, -p - q])
+        assert report.hypotheses_ok and not report.all_constant
+        assert calls == []
+    # A tuple whose entries share a factor still reaches the PRS, the one
+    # kernel that computes a nonconstant gcd.
+    rng = random.Random(2024)
+    while True:
+        fs = _shared_factor_tuple(rng)
+        if not fs[-1].is_zero and not mason_check(fs).hypotheses_ok:
+            break
+        calls.clear()
+    assert calls
 
 
 def test_mason_inequalities_hold_on_random_coprime_triples():

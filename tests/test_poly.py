@@ -487,3 +487,81 @@ def test_gcd_exact_division_refuses_a_remainder():
         poly_module._divide_exact([(1, 0)], (1, 1))
     with pytest.raises(InternalInvariantError):
         poly_module._divide_exact([(4, 0), (3, 0)], (2, 0))
+
+
+def test_the_modular_certificate_agrees_with_the_prs_and_sympy(monkeypatch):
+    # Pairs over Q and Q(i) with denominators, times a content that is a
+    # unit, an integer, a Gaussian integer or a fraction, and in one pair
+    # of ten also p; q has a constant term, so S rarely divides both.  Half
+    # of the pairs share a random factor.  The certified gcd must equal the
+    # gcd the PRS alone computes and the one sympy computes.
+    rng = random.Random(1_000_000_009)
+    contents = [gq(1), gq(6), gq(2, 2), gq(3, -4), gq(0, Fraction(5, 3))]
+    pairs = []
+    for trial in range(200):
+        imaginary = trial % 2 == 0
+        p = nonzero_random_poly(rng, ("S",), max_terms=4, max_exp=9, imaginary=imaginary)
+        q = nonzero_random_poly(rng, ("S",), max_terms=4, max_exp=9, imaginary=imaginary)
+        q = q + nonzero_random_poly(rng, ("S",), max_terms=1, max_exp=0, imaginary=imaginary)
+        if trial % 4 >= 2:
+            common = nonzero_random_poly(rng, ("S",), max_terms=3, max_exp=4, imaginary=imaginary)
+            p, q = common * p, common * q
+        if trial % 10 == 9:
+            p = p * poly_module._P
+        pairs.append((p * rng.choice(contents), q * rng.choice(contents)))
+    answers = []
+    real_certificate = poly_module._coprime_mod_p
+
+    def recording(a, b):
+        answers.append(real_certificate(a, b))
+        return answers[-1]
+
+    monkeypatch.setattr(poly_module, "_coprime_mod_p", recording)
+    certified = [gcd_univariate(p, q) for p, q in pairs]
+    monkeypatch.setattr(poly_module, "_coprime_mod_p", lambda a, b: False)
+    for (p, q), ours in zip(pairs, certified):
+        assert gcd_univariate(p, q) == ours, (p, q)
+        assert sympy.expand(to_sympy(ours) - _sympy_monic_gcd(p, q)) == 0, (p, q)
+    # Both answers of the certificate and both kinds of gcd were seen.
+    assert answers.count(True) >= 60 and answers.count(False) >= 60
+    assert sum(not g.is_constant for g in certified) >= 60
+
+
+def _gaussian_gcd(x, y):
+    """A gcd in Z[i] by Euclid's algorithm with rounded quotients."""
+    while y != (0, 0):
+        (a, b), (c, d) = x, y
+        n = c * c + d * d
+        q_re = (2 * (a * c + b * d) + n) // (2 * n)
+        q_im = (2 * (b * c - a * d) + n) // (2 * n)
+        x, y = y, (a - q_re * c + q_im * d, b - q_re * d - q_im * c)
+    return x
+
+
+def test_pairs_the_certificate_cannot_vouch_for_reach_the_prs(monkeypatch):
+    p, r = poly_module._P, poly_module._SQRT_M1
+    assert sympy.isprime(p) and r * r % p == p - 1
+    # The Gaussian prime above p that i -> r sends to 0.
+    pi_re, pi_im = _gaussian_gcd((p, 0), (r, -1))
+    assert pi_re * pi_re + pi_im * pi_im == p and (pi_re + r * pi_im) % p == 0
+    S, = gens("S")
+    one = Polynomial.constant(("S",), 1)
+    calls = []
+    real_prs = poly_module._subresultant_prs
+
+    def counting_prs(a, b):
+        calls.append((a, b))
+        return real_prs(a, b)
+
+    monkeypatch.setattr(poly_module, "_subresultant_prs", counting_prs)
+    for f, g in [
+        (S, S - p),  # coprime over Q(i), equal modulo p
+        (S, S - gq(pi_re, pi_im)),  # equal under i -> r
+        (p * S + 1, S),  # the leading coefficient vanishes modulo p
+    ]:
+        calls.clear()
+        assert gcd_univariate(f, g) == one
+        assert len(calls) == 1, (f, g)
+    calls.clear()
+    assert gcd_univariate(S, S - 1) == one
+    assert calls == []
