@@ -152,8 +152,8 @@ def _kernel_transport(v: str, g: Polynomial) -> Callable[[Polynomial], Polynomia
     """phi: x_v -> (y_v - h)/c, for g = c*x_v + h with c a nonzero constant
     and h free of x_v; y_v keeps the name v, and phi(g) = y_v.
 
-    Terms free of x_v are copied; the others are expanded with cached powers
-    of phi(x_v).
+    phi is one partial Polynomial.substitute call: every other variable
+    stays itself.
     """
     slope = g.diff(v) if v in g.variables else None
     if not slope or not slope.is_constant:
@@ -163,27 +163,10 @@ def _kernel_transport(v: str, g: Polynomial) -> Callable[[Polynomial], Polynomia
     k = g.variables.index(v)
     inverse = slope.constant_value().inverse()
     # phi(x_v) has the terms of g: 1/c at x_v and -h_e/c elsewhere.
-    image = {e: inverse if e[k] else -coeff * inverse for e, coeff in g.terms.items()}
-    powers = [None, Polynomial._raw(g.variables, image)]
-
-    def phi(p: Polynomial) -> Polynomial:
-        out = {exps: coeff for exps, coeff in p.terms.items() if not exps[k]}
-        if len(out) == len(p.terms):
-            return p
-        for exps, coeff in p.terms.items():
-            e = exps[k]
-            if not e:
-                continue
-            while len(powers) <= e:
-                powers.append(powers[-1] * powers[1])
-            base = exps[:k] + (0,) + exps[k + 1 :]
-            for step, factor in powers[e].terms.items():
-                target = tuple(map(add, base, step))
-                old = out.get(target)
-                out[target] = coeff * factor if old is None else old + coeff * factor
-        return Polynomial._raw(p.variables, {e: c for e, c in out.items() if c})
-
-    return phi
+    image = Polynomial._raw(
+        g.variables, {e: inverse if e[k] else -coeff * inverse for e, coeff in g.terms.items()}
+    )
+    return lambda p: p.substitute({v: image})
 
 
 def _integral_relation(relation: Polynomial) -> tuple[tuple[int, ...], int, list]:
@@ -301,8 +284,7 @@ def probe_nilpotency(
     """
     if bound < 1:
         raise ValueError("probe bound must be positive")
-    presentation = derivation.presentation
-    relation = presentation.relation
+    relation = derivation.presentation.relation
     images = [img.rep for img in derivation.images]
     variables = relation.variables
     starts = [Polynomial.variable(variables, name) for name in variables]
@@ -322,8 +304,7 @@ def probe_nilpotency(
         n = 0
         while current:
             if n >= bound:
-                generator = presentation.generator(name).rep
-                detail = f"generator {generator!r} not annihilated within {bound} steps"
+                detail = f"generator {name} not annihilated within {bound} steps"
             elif len(current) > DEFAULT_TERM_CEILING:
                 detail = f"iterate exceeded {DEFAULT_TERM_CEILING} terms"
             else:

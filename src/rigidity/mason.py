@@ -59,19 +59,6 @@ class MasonReport:
     all_constant: bool
 
 
-def _shared_variable(fs: Sequence[Polynomial]) -> str | None:
-    var = None
-    for f in fs:
-        v, _ = f.univariate_profile()
-        if v is None:
-            continue
-        if var is None:
-            var = v
-        elif v != var:
-            raise ValueError(f"polynomials mix variables {var} and {v}")
-    return var
-
-
 def mason_check(fs: Sequence[Polynomial]) -> MasonReport:
     """Check hypotheses and both inequalities for a zero-sum tuple.
 
@@ -98,8 +85,6 @@ def mason_check(fs: Sequence[Polynomial]) -> MasonReport:
         total = total + f
     if not total.is_zero:
         raise ValueError("the tuple does not sum to zero")
-    var = _shared_variable(fs)
-
     violation = None
     for size in range(2, n + 1):
         for idx in combinations(range(n), size):
@@ -122,7 +107,7 @@ def mason_check(fs: Sequence[Polynomial]) -> MasonReport:
         if violation:
             break
 
-    degrees = [f.degree_in(var) if var is not None else 0 for f in fs]
+    degrees = [f.total_degree() for f in fs]
     roots_each = tuple(distinct_root_count(f) for f in fs)
     running = fs[0]
     roots_product = roots_each[0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .gauss import ONE, ZERO, GaussianRational, ScalarLike
@@ -321,37 +322,58 @@ class Polynomial:
     def substitute(self, images: Mapping[str, Polynomial]) -> Polynomial:
         """Evaluate the polynomial at polynomial images of its variables.
 
-        Every variable that actually occurs must have an image, and all
-        images must live over one common target variable tuple.
+        This is the package's one substitution routine.  All images must
+        live over one common target variable tuple.  Over the polynomial's
+        own variables, a variable without an image stays itself, so a
+        partial substitution such as a change of one coordinate is one
+        call; over any other target, every variable that actually occurs
+        must have an image.
+
+        One pass over the terms adds into one dict: the exponents of the
+        variables without an image go straight into the key, and each
+        image ** e is computed once per call, from image ** (e - 1) when
+        that is already known.  In the own ring, a polynomial in which no
+        variable with an image occurs is returned as it is.
         """
-        occurring = self.occurring_variables()
-        missing = [v for v in occurring if v not in images]
-        if missing:
-            raise UnknownVariableError(f"no image given for variable(s) {missing!r}")
         target: tuple[str, ...] | None = None
         for img in images.values():
             if target is None:
                 target = img.variables
             elif img.variables != target:
                 raise VariableMismatchError("substitution images live over different variables")
-        if target is None:
+        own_ring = target is None or target == self.variables
+        if own_ring:
             target = self.variables
-        result = Polynomial.zero(target)
-        power_cache: dict[tuple[str, int], Polynomial] = {}
-
-        def power(name: str, e: int) -> Polynomial:
-            key = (name, e)
-            if key not in power_cache:
-                power_cache[key] = images[name] ** e
-            return power_cache[key]
-
-        for exps, coeff in self.sorted_terms():
-            term = Polynomial.constant(target, coeff)
-            for name, e in zip(self.variables, exps):
+        else:
+            missing = [v for v in self.occurring_variables() if v not in images]
+            if missing:
+                raise UnknownVariableError(f"no image given for variable(s) {missing!r}")
+        mapped = [(i, images[v]) for i, v in enumerate(self.variables) if v in images]
+        if own_ring and not any(exps[i] for exps in self.terms for i, _ in mapped):
+            return self
+        zero = (0,) * len(target)
+        powers = {(i, 1): image for i, image in mapped}
+        out: dict[ExponentVector, GaussianRational] = {}
+        for exps, coeff in self.terms.items():
+            kept, factor = exps if own_ring else zero, None
+            for i, image in mapped:
+                e = exps[i]
                 if e:
-                    term = term * power(name, e)
-            result = result + term
-        return result
+                    power = powers.get((i, e))
+                    if power is None:
+                        lower = powers.get((i, e - 1))
+                        power = powers[i, e] = image**e if lower is None else lower * image
+                    factor = power if factor is None else factor * power
+                    if own_ring:
+                        kept = kept[:i] + (0,) + kept[i + 1 :]
+            if factor is None:
+                shifted = [(kept, coeff)]
+            else:
+                shifted = [(tuple(map(add, kept, step)), coeff * c) for step, c in factor.terms.items()]
+            for key, value in shifted:
+                old = out.get(key)
+                out[key] = value if old is None else old + value
+        return self._raw(target, {e: c for e, c in out.items() if not c.is_zero})
 
     # -- weighted degrees -----------------------------------------------------
 
@@ -421,7 +443,11 @@ def gens(*names: str) -> tuple[Polynomial, ...]:
     return tuple(Polynomial.variable(names, n) for n in names)
 
 
-def _univariate_pair(p: Polynomial, q: Polynomial) -> tuple[list[GaussianRational], list[GaussianRational]]:
+def _univariate_pair(
+    p: Polynomial, q: Polynomial
+) -> tuple[Union[str, None], list[GaussianRational], list[GaussianRational]]:
+    """The variable p and q share (None when both are constant) and their
+    dense ascending coefficient lists."""
     if p.variables != q.variables:
         raise VariableMismatchError("gcd arguments live over different variables")
     var_p, coeffs_p = p.univariate_profile()
@@ -430,11 +456,12 @@ def _univariate_pair(p: Polynomial, q: Polynomial) -> tuple[list[GaussianRationa
         raise NotUnivariateError(
             f"gcd arguments use different variables: {var_p!r} vs {var_q!r}"
         )
-    return coeffs_p, coeffs_q
+    return var_p or var_q, coeffs_p, coeffs_q
 
 
 # Gaussian integers as (re, im) int pairs: the gcd kernel below works on
-# them, and so does the search oracle's leaf evaluation.
+# them, and so do the nilpotency probe's iterates and the search oracle's
+# leaf evaluation.
 GaussianInt = tuple[int, int]
 
 
@@ -662,7 +689,7 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     So when lc(a) is nonzero modulo p, the gcd's image keeps its degree and
     divides both images, and a constant gcd modulo p proves a constant gcd.
     """
-    coeffs_p, coeffs_q = _univariate_pair(p, q)
+    var, coeffs_p, coeffs_q = _univariate_pair(p, q)
     if not coeffs_p and not coeffs_q:
         return Polynomial.zero(p.variables)
     if not coeffs_p or not coeffs_q:
@@ -674,7 +701,6 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
         last = [(1, 0)] if _coprime_mod_p(a, b) else _subresultant_prs(a, b)
     if len(last) == 1:
         return Polynomial.constant(p.variables, 1)
-    var = (p.occurring_variables() or q.occurring_variables())[0]
     i = p.variables.index(var)
     c, d = last[-1]
     n = c * c + d * d

@@ -697,6 +697,22 @@ def test_verify_derivation_weight_payloads(weights, negative_grading, jump, caps
     }
 
 
+def test_an_inconclusive_probe_names_its_generator(capsys):
+    # D(X) = D(Y) = D(Z) = Z on X - Y, so D^n(X) = Z for every n >= 1.
+    argv = [
+        "verify-derivation", "--relation", "X - Y", "--vars", "X,Y,Z",
+        "--image", "X=Z", "--image", "Y=Z", "--image", "Z=Z", "--json", "--deterministic",
+    ]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["probe"] == {
+        "status": "inconclusive",
+        "certificate": None,
+        "steps_per_generator": None,
+        "bound_used": 64,
+        "detail": "generator X not annihilated within 64 steps",
+    }
+
+
 def test_verify_zero_derivation_with_weights(capsys):
     argv = VERIFY_WEIGHTS[:5] + ["--weights", "1,4,3", "--json", "--deterministic"]
     assert main(argv) == 0

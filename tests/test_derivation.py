@@ -203,7 +203,8 @@ def test_derivation_image_lookup(danielewski):
 def reference_probe(derivation: Derivation, bound: int) -> NilpotencyReport:
     """The probe as a plain loop of the public apply over Q(i)."""
     steps = []
-    for gen in derivation.presentation.generators():
+    presentation = derivation.presentation
+    for name, gen in zip(presentation.variables, presentation.generators()):
         current = gen
         n = 0
         while not current.is_zero:
@@ -213,7 +214,7 @@ def reference_probe(derivation: Derivation, bound: int) -> NilpotencyReport:
                     certificate=None,
                     steps_per_generator=None,
                     bound_used=bound,
-                    detail=f"generator {gen.rep!r} not annihilated within {bound} steps",
+                    detail=f"generator {name} not annihilated within {bound} steps",
                 )
             if len(current.rep.terms) > derivation_module.DEFAULT_TERM_CEILING:
                 return NilpotencyReport(

@@ -114,6 +114,10 @@ def test_mason_check_structural_errors():
     too_many = [S] * (MAX_TUPLE_LENGTH) + [-MAX_TUPLE_LENGTH * S]
     with pytest.raises(ValueError):
         mason_check(too_many)
+    X, Y = gens("X", "Y")
+    for mixed in ([X, -X + 1, Y, -Y - 1], [X, Y, -X - Y]):
+        with pytest.raises(NotUnivariateError):
+            mason_check(mixed)
 
 
 def test_mason_check_all_constant_flag():

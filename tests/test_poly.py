@@ -219,6 +219,31 @@ def test_substitute_requires_every_occurring_variable():
         f.substitute({"X": S})
     # Z does not occur, so its image is not needed
     assert f.substitute({"X": S, "Y": S}) == 2 * S
+    # over the polynomial's own variables, one without an image stays itself
+    assert f.substitute({"X": Y - Z}) == 2 * Y - Z
+    with pytest.raises(VariableMismatchError):
+        f.substitute({"X": Y, "Y": S})
+
+
+def test_substitute_nothing_is_the_identity():
+    f = X**2 * Y - gq(1, 3) * Z + 1
+    assert f.substitute({}) == f
+    assert Polynomial.zero(XYZ).substitute({}) == Polynomial.zero(XYZ)
+
+
+def test_substitute_matches_sympy():
+    """Full substitution into ("S", "T") and partial substitution in the own
+    ring with one or two images, against sympy's simultaneous subs."""
+    rng = random.Random(2027)
+    for _ in range(60):
+        f = random_poly(rng, XYZ, max_terms=5, max_exp=3)
+        full = {v: random_poly(rng, ("S", "T"), max_terms=3, max_exp=2) for v in XYZ}
+        partial = {v: random_poly(rng, XYZ, max_terms=3, max_exp=2) for v in rng.sample(XYZ, rng.randint(1, 2))}
+        for images, target in ((full, ("S", "T")), (partial, XYZ)):
+            value = f.substitute(images)
+            symbols = {sympy.Symbol(v): to_sympy(img) for v, img in images.items()}
+            assert value.variables == target
+            assert to_sympy(value) == sympy.expand(to_sympy(f).subs(symbols, simultaneous=True))
 
 
 def test_substitute_is_ring_homomorphism():
