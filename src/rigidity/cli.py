@@ -42,7 +42,7 @@ from .oracle import (
     bounded_search,
     verify_parametrization,
 )
-from .parsing import MAX_EXPONENT, _tokenize, format_poly, parse_poly
+from .parsing import MAX_EXPONENT, _tokenize, check_variables, format_poly, parse_poly
 from .poly import InternalInvariantError, Polynomial
 from .quotient import RingPresentation
 
@@ -251,6 +251,7 @@ def cmd_obstruct(args: argparse.Namespace) -> dict:
 def cmd_param_verify(args: argparse.Namespace) -> dict:
     variables, relation = _relation(args)
     problem = ParametrizationProblem(relation, args.constraint)
+    check_variables((args.param_var,))
     candidates = _assigned(args.sub, variables, (args.param_var,), "--sub")
     check = verify_parametrization(problem, candidates)
     return {
@@ -268,6 +269,7 @@ def cmd_search(args: argparse.Namespace) -> dict:
             f"--max-deg needs {len(variables)} entries for {', '.join(variables)}"
         )
     problem = ParametrizationProblem(relation, args.constraint, tuple(bounds))
+    check_variables((args.param_var,))
     outcome = bounded_search(
         problem,
         coefficient_window=args.coeff_window,

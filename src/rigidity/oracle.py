@@ -17,15 +17,19 @@ nonzero coefficient vectors once, with their values at one or two integer
 filter points: the filter rejects a leaf unless the relation vanishes at the
 point (zero target) or takes one nonzero value at both (unit target), and a
 leaf that passes is decided by exact substitution (verify_parametrization).
-When the last variable occurs only in terms of its own and its level is
-cached, each of its rows adds a fixed value at each point, so the rows are
-indexed by that value and the last level is looked up, not scanned.
+A row of the last level adds a value at each point that depends only on the
+outer levels whose variable shares a term with the last one.  When the last
+level is cached, some outer level shares no term with it, and the index
+entries stay within the table cap, the rows are indexed by that value once
+per choice of the shared levels (once per search if there are none), and the
+last level is looked up, not scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Optional, Sequence, Union
 
 from .gauss import GaussianRational, ScalarLike
@@ -191,7 +195,9 @@ class SearchOutcome:
 # a unit target at both.
 _FILTER_POINTS = (7, 11)
 # A level with at most this many nonzero coefficient vectors keeps its table
-# for the whole search; a larger one is enumerated again on every visit.
+# for the whole search; a larger one is enumerated again on every visit.  The
+# last level's indexes, one per choice of the levels it shares a term with,
+# hold at most this many entries in all.
 _TABLE_CAP = 4096
 
 
@@ -230,12 +236,17 @@ def bounded_search(
     passes is decided by exact substitution with verify_parametrization;
     the first tuple it accepts is the hit.
 
-    If the last level is cached and every term with the last variable has
-    no other variable, the level's rows are indexed by the value they add
+    A row of the last level adds a value at each point that depends only on
+    the levels whose variable shares a term with the last one.  If the last
+    level is cached, some outer level shares no term with it, and the
+    product of the shared levels' row counts times the last level's row
+    count is at most _TABLE_CAP, the rows are indexed by the value they add
     at the first point (zero target) or by its difference between the two
-    points (unit target); each leaf then visits only the rows that pass.
-    `examined` counts the rows up to the hit, or all of them, as a scan of
-    the level would.
+    points (unit target).  One index is built, when first needed, for each
+    choice of the shared levels (one for the whole search if there is no
+    shared level), and each leaf then visits only the rows that pass.
+    Otherwise each leaf scans the level.  Either way `examined` counts the
+    rows up to the hit, or all of them, as a scan of the level would.
     """
     bounds = problem.degree_bounds
     if not bounds:
@@ -299,21 +310,34 @@ def bounded_search(
     # The slots the last level leaves alone, by their place in the sums.
     rest = [(s, 2 * k) for s, (_, k, _) in enumerate(slots) if s not in active[last]]
 
-    # When every term with the last variable has no other variable, a row of
-    # the last level adds the same value w_k at filter point k whatever the
-    # outer levels chose.  Its cached rows are then indexed by the value a
-    # passing leaf needs from them: w_0 (zero target) or w_0 - w_1 (unit).
-    index = None
-    if table is not None and all(sum(map(bool, slots[s][0])) == 1 for s in active[last]):
-        index = {}
-        factors = [(*coeffs[s], 2 * slots[s][1]) for s in active[last]]
-        for pos, (_, _, powered) in enumerate(table):
-            w = [0, 0] * len(points)
-            for (pr, pi, k), (vr, vi) in zip(factors, powered):
-                w[k] += pr * vr - pi * vi
-                w[k + 1] += pr * vi + pi * vr
-            key = (w[0], w[1]) if want_zero else (w[0] - w[2], w[1] - w[3])
-            index.setdefault(key, []).append((pos, w[0], w[1]))
+    # A row of the last level adds w_k at filter point k, fixed by the
+    # partials of its slots, which only the shared levels change.  Once the
+    # deepest of them has chosen (before the descent if there is none), the
+    # rows are indexed by the value a passing leaf needs from them: w_0 (zero
+    # target) or w_0 - w_1 (unit).  An index serves every later choice that
+    # gives the same partials.
+    shared = [i for i in range(last) if set(active[i]) & set(active[last])]
+    keys = prod(len(values) ** (bounds[i] + 1) - 1 for i in shared)
+    indexed = table is not None and len(shared) < last and keys * len(table) <= _TABLE_CAP
+    hinge = shared[-1] if indexed and shared else -1
+    indexes: dict[tuple[GaussianInt, ...], dict] = {}
+
+    def lookup(partials: list[GaussianInt]) -> dict:
+        """The index of the last level's rows for the partials of its slots."""
+        key = tuple(partials[s] for s in active[last])
+        if key not in indexes:
+            by_value = indexes[key] = {}
+            factors = [(*partials[s], 2 * slots[s][1]) for s in active[last]]
+            for pos, (_, _, powered) in enumerate(table):
+                w = [0, 0] * len(points)
+                for (pr, pi, k), (vr, vi) in zip(factors, powered):
+                    w[k] += pr * vr - pi * vi
+                    w[k + 1] += pr * vi + pi * vr
+                sought = (w[0], w[1]) if want_zero else (w[0] - w[2], w[1] - w[3])
+                by_value.setdefault(sought, []).append((pos, w[0], w[1]))
+        return indexes[key]
+
+    index = lookup(coeffs) if indexed and not shared else None
 
     def scan(base: list[int], partials: list[GaussianInt]):
         """The last level's rows that pass the filter, with their positions:
@@ -368,6 +392,7 @@ def bounded_search(
     def descend(
         i: int, partials: list[GaussianInt], nonconstant_seen: bool
     ) -> Optional[tuple[Polynomial, ...]]:
+        nonlocal index
         if i == last:
             return leaves(partials, nonconstant_seen)
         level = tables[i] if tables[i] is not None else rows(i)
@@ -376,6 +401,8 @@ def bounded_search(
             for s, (vr, vi) in zip(active[i], powered):
                 pr, pi = below[s]
                 below[s] = (pr * vr - pi * vi, pr * vi + pi * vr)
+            if i == hinge:
+                index = lookup(below)
             chosen[i] = vector
             found = descend(i + 1, below, nonconstant_seen or nonconstant)
             if found is not None:

@@ -10,11 +10,12 @@ imaginary unit, exponents apply to variables only:
     coefficient := rational 'i'? | 'i'
     rational    := integer ('/' positive-integer)?
 
-Digits are ASCII ``0-9``.  Parentheses nest at most :data:`MAX_NESTING`
-deep; deeper input is a :class:`ParseError` at the first parenthesis past the
-limit.  The command line also caps exponents at :data:`MAX_EXPONENT`.  An
-integer literal longer than the interpreter converts is a :class:`ParseError`
-at the literal.
+A name is a letter or ``_`` followed by letters, digits or ``_``, and each
+declared variable must be one name other than ``i``.  The digits of a number
+are ASCII ``0-9``.  Parentheses nest at most :data:`MAX_NESTING` deep; deeper
+input is a :class:`ParseError` at the first parenthesis past the limit.  The
+command line also caps exponents at :data:`MAX_EXPONENT`.  An integer literal
+longer than the interpreter converts is a :class:`ParseError` at the literal.
 
 :func:`parse_poly` builds the term dict directly: a term is one coefficient
 and one exponent vector, and only a parenthesised factor is multiplied as a
@@ -209,6 +210,23 @@ class _Parser:
         return exponent
 
 
+#: A word that :func:`_tokenize` reads as one name when it starts with a
+#: letter or ``_``.
+_WORD = re.compile(r"\w+")
+
+
+def check_variables(variables: Sequence[str]) -> tuple[str, ...]:
+    """The declared variables as a tuple, or ValueError unless the grammar
+    reads each of them as exactly one name other than ``i``."""
+    variables = tuple(variables)
+    for name in variables:
+        if name == "i":
+            raise ValueError("'i' is reserved for the imaginary unit")
+        if not (_WORD.fullmatch(name) and (name[0].isalpha() or name[0] == "_")):
+            raise ValueError(f"{name!r} is not a variable name")
+    return variables
+
+
 def parse_poly(
     text: str,
     variables: Sequence[str],
@@ -218,11 +236,10 @@ def parse_poly(
 
     Raises :class:`ParseError` with position information on any syntax
     problem or unknown variable; raises ValueError if the declared variables
-    themselves are invalid (``i`` is reserved, names are distinct).
+    themselves are invalid (each is one name of the grammar other than the
+    reserved ``i``, and names are distinct).
     """
-    variables = tuple(variables)
-    if "i" in variables:
-        raise ValueError("'i' is reserved for the imaginary unit")
+    variables = check_variables(variables)
     if len(set(variables)) != len(variables):
         raise ValueError(f"duplicate variable names in {variables!r}")
     parser = _Parser(text, variables, max_exponent)

@@ -242,6 +242,32 @@ def test_repeated_vars_exit_1(capsys):
     assert "repeated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # X = -S would print as "-i", which reads back as a constant
+        (["search", "--relation", "X^2 - Y", "--vars", "X,Y", "--max-deg", "1,2",
+          "--coeff-window", "1", "--param-var", "i"], "'i' is reserved"),
+        # Y = S^2 would print as "^2"
+        (["search", "--relation", "X^2 - Y", "--vars", "X,Y", "--max-deg", "1,2",
+          "--coeff-window", "1", "--param-var", ""], "'' is not a variable name"),
+        (["classify", "--relation", "X^2 - Y", "--vars", "X,Y,Z,2"], "'2' is not a variable name"),
+        (["gr", "--relation", "X^2 - Y", "--vars", "X,Y,a b", "--weights", "1,1,1"],
+         "'a b' is not a variable name"),
+        (["mason", "--polys", "S;1;-S-1", "--var", "S-1"], "'S-1' is not a variable name"),
+        # with no --sub the name is never parsed, yet it is still refused
+        (["param-verify", "--relation", "X - Y", "--vars", "X,Y", "--param-var", "1S"],
+         "'1S' is not a variable name"),
+    ],
+)
+def test_a_variable_name_outside_the_grammar_exits_1(capsys, argv, message):
+    code = main([*argv, "--json", "--deterministic"])
+    assert code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValueError"
+    assert message in error["message"]
+
+
 def test_image_for_unknown_generator_exits_1(capsys):
     code = main(
         ["verify-derivation", "--relation", "X*Y - Z^2", "--image", "W=1"]

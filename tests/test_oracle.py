@@ -1,5 +1,7 @@
 import random
+import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -387,8 +389,11 @@ def test_one_value_window_lists_nothing(gaussian):
     assert peak < 2**20, peak
 
 
-# The last variable occurs only in terms of its own, so the last level is
-# looked up by the value its row must add, except in the two fallbacks.
+# The last level is looked up by the value its row must add.  When the last
+# variable occurs only in terms of its own there is one index per search;
+# otherwise there is one per choice of the outer levels that share a term with
+# it.  In the fallback every outer level shares a term with the last one, so
+# the last level is scanned.
 INDEXED_CASES = [
     ("X^2 + Y", ("X", "Y"), "zero", (1, 1), 1, True),
     ("X^3 - 2*Y^2", ("X", "Y"), "zero", (1, 1), 1, True),
@@ -404,9 +409,20 @@ INDEXED_CASES = [
     # extended-minimason: several pure terms in the last variable
     ("F^2 + H^3 + H^4", ("F", "H"), "unit", (2, 2), 1, False),
     ("F^3 - 2*H^2 + H^3", ("F", "H"), "unit", (1, 1), 1, True),
-    # fallbacks: the last variable inside a mixed term
+    # fallback: every outer level shares a term with the last one
     ("X^2 + X*Y + Y^3", ("X", "Y"), "zero", (1, 1), 1, True),
+    # shared levels: the last variable inside a mixed term
     ("X^3*Y + Z^3*Y + Z^4", ("X", "Y", "Z"), "zero", (2, 0, 3), 1, False),
+    ("X^2 + Y*Z", ("X", "Y", "Z"), "zero", (1, 2, 1), 1, False),  # found
+    ("X^2 + Y*Z + Z^2", ("X", "Y", "Z"), "zero", (0, 0, 1), 1, True),
+    ("X^2 + Y*Z - Z", ("X", "Y", "Z"), "unit", (1, 1, 1), 1, False),  # found
+    ("X^2 + Y*Z - 2*Z^2", ("X", "Y", "Z"), "unit", (1, 1, 1), 1, False),
+    ("X^2 + Y*Z^2 + Z", ("X", "Y", "Z"), "unit", (0, 0, 1), 1, True),
+    # the shared level X is not next to the last level Z
+    ("X*Z^2 + Y^3 + Z^3", ("X", "Y", "Z"), "zero", (0, 1, 2), 1, False),
+    # two shared levels, X and Y, above the free level Z
+    ("X*T^2 + Y*T - Z^2", ("X", "Y", "Z", "T"), "zero", (0, 1, 1, 1), 1, False),
+    ("X*T^2 + Y*T - Z^2", ("X", "Y", "Z", "T"), "unit", (0, 1, 1, 1), 1, False),
 ]
 
 
@@ -417,6 +433,46 @@ def test_indexed_last_level_matches_the_dense_reference(
     problem = ParametrizationProblem(parse_poly(text, names), constraint, bounds)
     outcome = bounded_search(problem, coefficient_window=window, gaussian=gaussian)
     assert outcome == reference_search(problem, coefficient_window=window, gaussian=gaussian)
+
+
+def _oracle_calls(run):
+    """The outcome of run() and how often each function of the oracle
+    module was entered (a generator counts once per resumption)."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == oracle.__file__:
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        outcome = run()
+    finally:
+        sys.setprofile(None)
+    return outcome, calls
+
+
+@pytest.mark.parametrize(
+    "text, names, bounds, cap, lookups",
+    [
+        # no shared level: one index for the whole search
+        ("X^2 + Y^3", ("X", "Y"), (1, 1), oracle._TABLE_CAP, 1),
+        # one lookup per choice of X (26 rows) and the shared Y (2 rows)
+        ("X^3*Y + Z^3*Y + Z^4", ("X", "Y", "Z"), (2, 0, 3), oracle._TABLE_CAP, 26 * 2),
+        # Z's 80 rows stay cached under a cap of 100, but Y's 2 rows would
+        # key 2 * 80 = 160 index entries, more than the cap allows
+        ("X^3*Y + Z^3*Y + Z^4", ("X", "Y", "Z"), (2, 0, 3), 100, 0),
+        # every outer level shares a term with the last one
+        ("X^2 + X*Y + Y^3", ("X", "Y"), (1, 1), oracle._TABLE_CAP, 0),
+    ],
+)
+def test_the_last_level_is_looked_up_or_scanned(monkeypatch, text, names, bounds, cap, lookups):
+    monkeypatch.setattr(oracle, "_TABLE_CAP", cap)
+    problem = zero_problem(parse_poly(text, names), bounds)
+    outcome, calls = _oracle_calls(lambda: bounded_search(problem, coefficient_window=1))
+    assert outcome == reference_search(problem, coefficient_window=1)
+    assert calls["lookup"] == lookups
+    assert bool(calls["scan"]) == (lookups == 0)
 
 
 def test_indexed_unit_target_skips_a_row_whose_sum_is_zero(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rigidity import ParseError, Polynomial, format_poly, gens, parse_poly
-from rigidity.parsing import MAX_NESTING
+from rigidity.parsing import MAX_NESTING, _tokenize, check_variables
 from rigidity.gauss import gq
 
 from helpers import random_poly, reference_parse
@@ -60,6 +60,28 @@ def test_parse_exponent_cap():
 def test_reserved_imaginary_name():
     with pytest.raises(ValueError):
         parse_poly("i + 1", ("i", "X"))
+
+
+@pytest.mark.parametrize("name", ["", "2", "a b", " X", "X^2", "S-1", "X,Y", "\u00b2X"])
+def test_a_declared_variable_must_be_one_name_of_the_grammar(name):
+    with pytest.raises(ValueError, match="is not a variable name"):
+        parse_poly("1", ("X", name))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("Xy_9\u00b2\u0663\u00e9 ^-i\n"), max_size=4))
+def test_a_declared_variable_is_what_the_tokenizer_reads_as_one_name(name):
+    try:
+        tokens = _tokenize(name)
+    except ParseError:
+        tokens = []
+    one_name = len(tokens) == 2 and tokens[0][:2] == ("name", name) and name != "i"
+    try:
+        check_variables((name,))
+    except ValueError:
+        assert not one_name
+    else:
+        assert one_name
 
 
 def test_duplicate_variable_names_are_rejected():
