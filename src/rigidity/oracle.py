@@ -17,12 +17,15 @@ nonzero coefficient vectors once, with their values at one or two integer
 filter points: the filter rejects a leaf unless the relation vanishes at the
 point (zero target) or takes one nonzero value at both (unit target), and a
 leaf that passes is decided by exact substitution (verify_parametrization).
-A row of the last level adds a value at each point that depends only on the
-outer levels whose variable shares a term with the last one.  When the last
-level is cached, some outer level shares no term with it, and the index
-entries stay within the table cap, the rows are indexed by that value once
-per choice of the shared levels (once per search if there are none), and the
-last level is looked up, not scanned.
+The trailing levels b..last run as one block, one row per choice of them.  A
+row adds a value at each point that depends only on the outer levels whose
+variable shares a term with the block.  A block of cached levels is indexed
+by that value, once per choice of those shared levels (once per search if
+there are none), when some outer level shares no term with it and the index
+entries stay within the table cap; the block with the fewest outer choices
+plus index entries is taken, so the outer levels are walked once per choice
+and the block is looked up, not walked (a meet in the middle).  Without such
+a block the last level is scanned.
 """
 
 from __future__ import annotations
@@ -196,18 +199,21 @@ class SearchOutcome:
 _FILTER_POINTS = (7, 11)
 # A level with at most this many nonzero coefficient vectors keeps its table
 # for the whole search; a larger one is enumerated again on every visit.  The
-# last level's indexes, one per choice of the levels it shares a term with,
-# hold at most this many entries in all.
+# indexed block's indexes, one per choice of the levels it shares a term
+# with, hold at most this many entries in all.
 _TABLE_CAP = 4096
 
 
-def _value_at(vector: tuple[GaussianInt, ...], x: int) -> GaussianInt:
-    """The Gaussian-integer value at the integer x of a coefficient vector
-    (constant term first), by Horner's rule."""
-    re = im = 0
-    for cr, ci in reversed(vector):
-        re, im = re * x + cr, im * x + ci
-    return re, im
+def _values_at(vector: tuple[GaussianInt, ...], points: Sequence[int]) -> list[GaussianInt]:
+    """The Gaussian-integer values at the integer points of a coefficient
+    vector (constant term first), by Horner's rule."""
+    values = []
+    for x in points:
+        re = im = 0
+        for cr, ci in reversed(vector):
+            re, im = re * x + cr, im * x + ci
+        values.append((re, im))
+    return values
 
 
 def bounded_search(
@@ -236,17 +242,21 @@ def bounded_search(
     passes is decided by exact substitution with verify_parametrization;
     the first tuple it accepts is the hit.
 
-    A row of the last level adds a value at each point that depends only on
-    the levels whose variable shares a term with the last one.  If the last
-    level is cached, some outer level shares no term with it, and the
-    product of the shared levels' row counts times the last level's row
-    count is at most _TABLE_CAP, the rows are indexed by the value they add
-    at the first point (zero target) or by its difference between the two
-    points (unit target).  One index is built, when first needed, for each
-    choice of the shared levels (one for the whole search if there is no
-    shared level), and each leaf then visits only the rows that pass.
-    Otherwise each leaf scans the level.  Either way `examined` counts the
-    rows up to the hit, or all of them, as a scan of the level would.
+    The trailing levels b..last (b >= 1) form a block with one row per
+    choice of them, in enumeration order.  A row adds a value at each point
+    that depends only on the outer levels whose variable shares a term with
+    the block.  A block is admissible if its levels are cached, some outer
+    level shares no term with it, and the product of the shared levels' row
+    counts times the block's row count is at most _TABLE_CAP.  Of the
+    admissible blocks the one with the least product of the outer row counts
+    plus index entries is taken (the shorter one on a tie), and its rows are
+    indexed by the value they add at the first point (zero target) or by its
+    difference between the two points (unit target).  One index is built,
+    when first needed, for each choice of the shared levels (one for the
+    whole search if there is no shared level), and each choice of the outer
+    levels then visits only the rows that pass.  With no admissible block
+    the last level is scanned.  Either way `examined` counts the block's
+    rows up to the hit, or all of them, as a scan of the levels would.
     """
     bounds = problem.degree_bounds
     if not bounds:
@@ -283,52 +293,79 @@ def bounded_search(
     active = [[s for s, (exps, _, _) in enumerate(slots) if exps[i]] for i in range(n)]
 
     def rows(i: int):
-        """Level i's nonzero vectors in enumeration order, each with its
-        nonconstant flag and its powered value in every active slot."""
+        """Level i's nonzero vectors in enumeration order, each (as a
+        one-tuple, the row of a one-level block) with its nonconstant flag
+        and its powered value in every active slot."""
         zero = ((0, 0),) * (bounds[i] + 1)
-        level_slots = [(slots[s][2], slots[s][0][i]) for s in active[i]]
+        level_slots = [(slots[s][1], slots[s][0][i]) for s in active[i]]
         for vector in product(values, repeat=bounds[i] + 1):
             if vector == zero:
                 continue
+            at = _values_at(vector, points) if level_slots else ()
             yield (
-                vector,
+                (vector,),
                 vector[1:] != zero[1:],
-                tuple(gaussian_pow(_value_at(vector, x), e) for x, e in level_slots),
+                tuple([gaussian_pow(at[k], e) for k, e in level_slots]),
             )
 
     # The outermost level is visited once; an inner one is cached if small.
-    tables = [
-        list(rows(i)) if 0 < i and len(values) ** (d + 1) - 1 <= _TABLE_CAP else None
-        for i, d in enumerate(bounds)
-    ]
+    sizes = [len(values) ** (d + 1) - 1 for d in bounds]
+    tables = [list(rows(i)) if 0 < i and sizes[i] <= _TABLE_CAP else None for i in range(n)]
 
+    # The block b..last runs as one level.  A row adds w_k at filter point k,
+    # fixed by the partials of the block's slots, which only the outer levels
+    # sharing a slot with it change; an indexed block is keyed by the value a
+    # passing leaf needs: w_0 (zero target) or w_0 - w_1 (unit).  Of the
+    # admissible blocks take the one with the fewest outer choices plus index
+    # entries, the shorter on a tie; with none, scan the last level.
+    last = n - 1
+    b, shared, best = last, [], None
+    for start in range(last, 0, -1):
+        if tables[start] is None:
+            break
+        touched = set().union(*active[start:])
+        outer = [i for i in range(start) if touched.intersection(active[i])]
+        entries = prod(sizes[i] for i in outer) * prod(sizes[start:])
+        cost = prod(sizes[:start]) + entries
+        if len(outer) < start and entries <= _TABLE_CAP and (best is None or cost < best):
+            b, shared, best = start, outer, cost
+    indexed = best is not None
+    block_slots = sorted(set().union(*active[b:]))
+    block_size = prod(sizes[b:])
+    place = {s: p for p, s in enumerate(block_slots)}
+    # The slots the block leaves alone, by their place in the sums.
+    rest = [(s, 2 * k) for s, (_, k, _) in enumerate(slots) if s not in place]
+
+    def block_rows():
+        """One row per choice of the block levels in enumeration order: the
+        vectors, whether any is nonconstant, and in each block slot the
+        product of the block levels' powered values."""
+        for choice in product(*tables[b:]):
+            powered = [(1, 0)] * len(block_slots)
+            for j, (_, _, level_powered) in enumerate(choice, b):
+                for s, (vr, vi) in zip(active[j], level_powered):
+                    pr, pi = powered[place[s]]
+                    powered[place[s]] = (pr * vr - pi * vi, pr * vi + pi * vr)
+            yield (
+                tuple(vector for (vector,), _, _ in choice),
+                any(nonconstant for _, nonconstant, _ in choice),
+                powered,
+            )
+
+    # A one-level block is its level's table, or streamed if not cached.
+    block = tables[last] if b == last else list(block_rows())
     chosen: list[tuple[GaussianInt, ...]] = [()] * n
     examined = 0
-    last = n - 1
-    table = tables[last]
-    last_rows = len(values) ** (bounds[last] + 1) - 1
-    # The slots the last level leaves alone, by their place in the sums.
-    rest = [(s, 2 * k) for s, (_, k, _) in enumerate(slots) if s not in active[last]]
-
-    # A row of the last level adds w_k at filter point k, fixed by the
-    # partials of its slots, which only the shared levels change.  Once the
-    # deepest of them has chosen (before the descent if there is none), the
-    # rows are indexed by the value a passing leaf needs from them: w_0 (zero
-    # target) or w_0 - w_1 (unit).  An index serves every later choice that
-    # gives the same partials.
-    shared = [i for i in range(last) if set(active[i]) & set(active[last])]
-    keys = prod(len(values) ** (bounds[i] + 1) - 1 for i in shared)
-    indexed = table is not None and len(shared) < last and keys * len(table) <= _TABLE_CAP
-    hinge = shared[-1] if indexed and shared else -1
+    hinge = shared[-1] if shared else -1
     indexes: dict[tuple[GaussianInt, ...], dict] = {}
 
     def lookup(partials: list[GaussianInt]) -> dict:
-        """The index of the last level's rows for the partials of its slots."""
-        key = tuple(partials[s] for s in active[last])
+        """The index of the block's rows for the partials of its slots."""
+        key = tuple(partials[s] for s in block_slots)
         if key not in indexes:
             by_value = indexes[key] = {}
-            factors = [(*partials[s], 2 * slots[s][1]) for s in active[last]]
-            for pos, (_, _, powered) in enumerate(table):
+            factors = [(*partials[s], 2 * slots[s][1]) for s in block_slots]
+            for pos, (_, _, powered) in enumerate(block):
                 w = [0, 0] * len(points)
                 for (pr, pi, k), (vr, vi) in zip(factors, powered):
                     w[k] += pr * vr - pi * vi
@@ -340,11 +377,11 @@ def bounded_search(
     index = lookup(coeffs) if indexed and not shared else None
 
     def scan(base: list[int], partials: list[GaussianInt]):
-        """The last level's rows that pass the filter, with their positions:
-        add each row's products to the fixed sums."""
-        factors = [(*partials[s], 2 * slots[s][1]) for s in active[last]]
-        for pos, (vector, nonconstant, powered) in enumerate(
-            table if table is not None else rows(last)
+        """The block's rows that pass the filter, with their positions: add
+        each row's products to the fixed sums."""
+        factors = [(*partials[s], 2 * slots[s][1]) for s in block_slots]
+        for pos, (vectors, nonconstant, powered) in enumerate(
+            block if block is not None else rows(last)
         ):
             sums = base[:]
             for (pr, pi, k), (vr, vi) in zip(factors, powered):
@@ -355,14 +392,14 @@ def bounded_search(
                     continue
             elif sums[0] != sums[2] or sums[1] != sums[3] or not (sums[0] or sums[1]):
                 continue
-            yield pos, vector, nonconstant
+            yield pos, vectors, nonconstant
 
     def leaves(
         partials: list[GaussianInt], nonconstant_seen: bool
     ) -> Optional[tuple[Polynomial, ...]]:
-        """Run the last level against fixed partials: sum the slots it
-        leaves alone once, then look up (or scan for) the rows that pass.
-        The rows up to the hit, or all of them, count as examined."""
+        """Run the block against fixed partials: sum the slots it leaves
+        alone once, then look up (or scan for) the rows that pass.  The rows
+        up to the hit, or all of them, count as examined."""
         nonlocal examined
         base = [0, 0] * len(points)
         for s, k in rest:
@@ -374,29 +411,29 @@ def bounded_search(
         else:
             key = (-base[0], -base[1]) if want_zero else (base[2] - base[0], base[3] - base[1])
             passing = (
-                (pos, *table[pos][:2])
+                (pos, *block[pos][:2])
                 for pos, wr, wi in index.get(key, ())
                 if want_zero or base[0] + wr or base[1] + wi
             )
-        for pos, vector, nonconstant in passing:
+        for pos, vectors, nonconstant in passing:
             if not (nonconstant_seen or nonconstant or allow_constant):
                 continue
-            chosen[last] = vector
+            chosen[b:] = vectors
             found = tuple(_vector_to_polynomial(vec, variable) for vec in chosen)
             if verify_parametrization(problem, found).ok:
                 examined += pos + 1
                 return found
-        examined += last_rows
+        examined += block_size
         return None
 
     def descend(
         i: int, partials: list[GaussianInt], nonconstant_seen: bool
     ) -> Optional[tuple[Polynomial, ...]]:
         nonlocal index
-        if i == last:
+        if i == b:
             return leaves(partials, nonconstant_seen)
         level = tables[i] if tables[i] is not None else rows(i)
-        for vector, nonconstant, powered in level:
+        for (vector,), nonconstant, powered in level:
             below = partials[:]
             for s, (vr, vi) in zip(active[i], powered):
                 pr, pi = below[s]

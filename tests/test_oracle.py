@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -288,8 +289,8 @@ coefficients = st.sampled_from(
 
 @st.composite
 def search_problems(draw):
-    n = draw(st.integers(2, 3))
-    names = ("X", "Y", "Z")[:n]
+    n = draw(st.integers(2, 4))
+    names = ("X", "Y", "Z", "T")[:n]
     relation = Polynomial.zero(names)
     for _ in range(draw(st.integers(2, 3))):
         exps = tuple(draw(st.integers(0, 3)) for _ in names)
@@ -389,11 +390,11 @@ def test_one_value_window_lists_nothing(gaussian):
     assert peak < 2**20, peak
 
 
-# The last level is looked up by the value its row must add.  When the last
-# variable occurs only in terms of its own there is one index per search;
-# otherwise there is one per choice of the outer levels that share a term with
-# it.  In the fallback every outer level shares a term with the last one, so
-# the last level is scanned.
+# A trailing block of levels is looked up by the value its row must add.
+# When no outer level shares a term with the block there is one index per
+# search; otherwise there is one per choice of the outer levels that do.  In
+# the fallback every outer level shares a term with the last one, so the last
+# level is scanned.
 INDEXED_CASES = [
     ("X^2 + Y", ("X", "Y"), "zero", (1, 1), 1, True),
     ("X^3 - 2*Y^2", ("X", "Y"), "zero", (1, 1), 1, True),
@@ -423,6 +424,24 @@ INDEXED_CASES = [
     # two shared levels, X and Y, above the free level Z
     ("X*T^2 + Y*T - Z^2", ("X", "Y", "Z", "T"), "zero", (0, 1, 1, 1), 1, False),
     ("X*T^2 + Y*T - Z^2", ("X", "Y", "Z", "T"), "unit", (0, 1, 1, 1), 1, False),
+    # a two-level block Z, T under the unshared X, Y (doublemason shape)
+    ("X^2*Y^2 + Z^3 - T^5", ("X", "Y", "Z", "T"), "zero", (1, 1, 1, 1), 1, False),
+    # block Y, Z: the hit is row 59, Y's eighth row and Z's fourth
+    ("X + Y - Z^2", ("X", "Y", "Z"), "zero", (2, 1, 1), 1, False),  # found
+    # a term that spans the two block levels Y and Z
+    ("X^3 + Y*Z^2 - Z", ("X", "Y", "Z"), "zero", (2, 1, 1), 1, False),
+    ("X + Y*Z^2 - Z", ("X", "Y", "Z"), "zero", (2, 1, 1), 1, False),  # found
+    # block Z, T keyed by the shared outer level X
+    ("X*Z + Y^2 + T^3", ("X", "Y", "Z", "T"), "zero", (0, 2, 1, 1), 1, False),
+    ("Y^2 + X*Z - T", ("X", "Y", "Z", "T"), "zero", (0, 2, 1, 1), 1, False),  # found
+    # a three-level block Y, Z, T
+    ("X^2 + Y^3 + Z^5 - T^2", ("X", "Y", "Z", "T"), "zero", (2, 1, 1, 0), 1, False),
+    # unit target, Gaussian, block Y, Z
+    ("X^2 + Y^3 + Z^2", ("X", "Y", "Z"), "unit", (1, 0, 0), 1, True),
+    ("X^2 + Y^2 + Z", ("X", "Y", "Z"), "unit", (1, 1, 0), 1, True),  # found
+    # Z occurs in no term: the hit (-1, -1, -S - 1) is nonconstant only
+    # through the block's last level
+    ("X - 3*Y^2", ("X", "Y", "Z"), "unit", (2, 2, 1), 1, False),  # found
 ]
 
 
@@ -473,6 +492,35 @@ def test_the_last_level_is_looked_up_or_scanned(monkeypatch, text, names, bounds
     assert outcome == reference_search(problem, coefficient_window=1)
     assert calls["lookup"] == lookups
     assert bool(calls["scan"]) == (lookups == 0)
+    # one run of the last level per choice of the outer levels
+    assert calls["leaves"] == prod(3 ** (d + 1) - 1 for d in bounds[:-1])
+
+
+@pytest.mark.parametrize(
+    "text, names, constraint, bounds, cap, leaves",
+    [
+        # X's 26 rows over the block Y, Z of 64 rows, not 26 * 8 over Z
+        ("X^2 + Y^3 - Z^5", ("X", "Y", "Z"), "zero", (2, 1, 1), oracle._TABLE_CAP, 26),
+        # X, Y over the block Z, T: 8 * 8, not 8 * 8 * 8
+        ("X^2*Y^2 + Z^3 - T^5", ("X", "Y", "Z", "T"), "zero", (1, 1, 1, 1), oracle._TABLE_CAP, 64),
+        # a tie, 8 * 8 + 8 = 8 + 8 * 8: the shorter block Z
+        ("X^2 + Y^3 - Z^5", ("X", "Y", "Z"), "zero", (1, 1, 1), oracle._TABLE_CAP, 64),
+        # V shares a term with U, so the block is W alone
+        ("U^2*V^2 + W^3", ("U", "V", "W"), "unit", (2, 2, 1), oracle._TABLE_CAP, 26 * 26),
+        # a cap that holds one level of 8 rows but no block of two
+        ("X^2 + Y^3 - Z^5", ("X", "Y", "Z"), "zero", (2, 1, 1), 8, 26 * 8),
+        ("X^2*Y^2 + Z^3 - T^5", ("X", "Y", "Z", "T"), "zero", (1, 1, 1, 1), 8, 8 * 8 * 8),
+    ],
+)
+def test_the_block_takes_one_leaves_call_per_outer_choice(
+    monkeypatch, text, names, constraint, bounds, cap, leaves
+):
+    monkeypatch.setattr(oracle, "_TABLE_CAP", cap)
+    problem = ParametrizationProblem(parse_poly(text, names), constraint, bounds)
+    outcome, calls = _oracle_calls(lambda: bounded_search(problem, coefficient_window=1))
+    assert outcome == reference_search(problem, coefficient_window=1)
+    assert calls["leaves"] == leaves
+    assert calls["lookup"] == 1
 
 
 def test_indexed_unit_target_skips_a_row_whose_sum_is_zero(monkeypatch):
