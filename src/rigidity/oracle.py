@@ -292,6 +292,9 @@ def bounded_search(
     coeffs = [coeff for _, coeff in terms for _ in points]
     active = [[s for s, (exps, _, _) in enumerate(slots) if exps[i]] for i in range(n)]
 
+    # An integer window gives only real values, powered as plain ints.
+    power = gaussian_pow if gaussian else lambda z, e: (z[0] ** e, 0)
+
     def rows(i: int):
         """Level i's nonzero vectors in enumeration order, each (as a
         one-tuple, the row of a one-level block) with its nonconstant flag
@@ -305,7 +308,7 @@ def bounded_search(
             yield (
                 (vector,),
                 vector[1:] != zero[1:],
-                tuple([gaussian_pow(at[k], e) for k, e in level_slots]),
+                tuple([power(at[k], e) for k, e in level_slots]),
             )
 
     # The outermost level is visited once; an inner one is cached if small.
@@ -340,17 +343,15 @@ def bounded_search(
         """One row per choice of the block levels in enumeration order: the
         vectors, whether any is nonconstant, and in each block slot the
         product of the block levels' powered values."""
+        places = [[place[s] for s in active[j]] for j in range(b, n)]
         for choice in product(*tables[b:]):
+            vectors, nonconstant, level_powers = zip(*choice)
             powered = [(1, 0)] * len(block_slots)
-            for j, (_, _, level_powered) in enumerate(choice, b):
-                for s, (vr, vi) in zip(active[j], level_powered):
-                    pr, pi = powered[place[s]]
-                    powered[place[s]] = (pr * vr - pi * vi, pr * vi + pi * vr)
-            yield (
-                tuple(vector for (vector,), _, _ in choice),
-                any(nonconstant for _, nonconstant, _ in choice),
-                powered,
-            )
+            for level_places, level_powered in zip(places, level_powers):
+                for p, (vr, vi) in zip(level_places, level_powered):
+                    pr, pi = powered[p]
+                    powered[p] = (pr * vr - pi * vi, pr * vi + pi * vr)
+            yield sum(vectors, ()), any(nonconstant), powered
 
     # A one-level block is its level's table, or streamed if not cached.
     block = tables[last] if b == last else list(block_rows())
@@ -410,9 +411,12 @@ def bounded_search(
             passing = scan(base, partials)
         else:
             key = (-base[0], -base[1]) if want_zero else (base[2] - base[0], base[3] - base[1])
+            if key not in index:
+                examined += block_size
+                return None
             passing = (
                 (pos, *block[pos][:2])
-                for pos, wr, wi in index.get(key, ())
+                for pos, wr, wi in index[key]
                 if want_zero or base[0] + wr or base[1] + wi
             )
         for pos, vectors, nonconstant in passing:
