@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, le, sub
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .gauss import ScalarLike
 from .poly import GaussianInt, InternalInvariantError, Polynomial, UnknownVariableError, _integral
@@ -148,25 +148,21 @@ def _integral_images(images: Sequence[Polynomial]) -> list[tuple[int, list]]:
     return images
 
 
-def _kernel_transport(v: str, g: Polynomial) -> Callable[[Polynomial], Polynomial]:
-    """phi: x_v -> (y_v - h)/c, for g = c*x_v + h with c a nonzero constant
-    and h free of x_v; y_v keeps the name v, and phi(g) = y_v.
-
-    phi is one partial Polynomial.substitute call: every other variable
-    stays itself.
-    """
-    slope = g.diff(v) if v in g.variables else None
-    if not slope or not slope.is_constant:
+def _kernel_coordinate(g: Polynomial) -> tuple[int, Polynomial]:
+    """(v, phi(x_v)) for the first variable x_v, v its index, in which g has
+    a nonzero constant partial c, so g = c*x_v + h with h free of x_v, and
+    phi: x_v -> (y_v - h)/c; y_v keeps the name of x_v, and phi(g) = y_v."""
+    slopes = [g.diff(name) for name in g.variables]
+    k = next((k for k, slope in enumerate(slopes) if slope and slope.is_constant), None)
+    if k is None:
         raise InternalInvariantError(
-            f"kernel element {g!r} is not c*{v} + h with c a nonzero constant and h free of {v}"
+            f"kernel element {g!r} has no coordinate with a nonzero constant coefficient"
         )
-    k = g.variables.index(v)
-    inverse = slope.constant_value().inverse()
+    inverse = slopes[k].constant_value().inverse()
     # phi(x_v) has the terms of g: 1/c at x_v and -h_e/c elsewhere.
-    image = Polynomial._raw(
+    return k, Polynomial._raw(
         g.variables, {e: inverse if e[k] else -coeff * inverse for e, coeff in g.terms.items()}
     )
-    return lambda p: p.substitute({v: image})
 
 
 def _integral_relation(relation: Polynomial) -> tuple[tuple[int, ...], int, list]:
@@ -258,7 +254,7 @@ def _pseudo_normal_form(work: _Pairs, lead: tuple[int, ...], norm: int, tail: li
 def probe_nilpotency(
     derivation: Derivation,
     bound: int = DEFAULT_PROBE_BOUND,
-    kernel: Optional[tuple[str, Polynomial]] = None,
+    kernel: Optional[Polynomial] = None,
 ) -> NilpotencyReport:
     """Iterate the derivation on each generator until zero or budget runs out.
 
@@ -273,14 +269,16 @@ def probe_nilpotency(
     exactly when the normal form is and has as many terms; the steps and
     the term ceiling come out as over Q(i).
 
-    A kernel element ``kernel = (v, g)`` with D(g) = 0 and g = c*x_v + h,
-    c a nonzero constant and h free of x_v, makes the probe run in the
-    coordinates where g replaces x_v: the relation, the images (with
-    D(y_v) = 0) and the start elements x_i are carried through
-    phi: x_v -> (y_v - h)/c.  phi induces an isomorphism of the quotient
-    rings, so the steps are the same; the term ceiling counts terms in the
-    new coordinates, where a Jacobian witness J(f, g, ...) is triangular.
-    A kernel element that fails these conditions is an internal fault.
+    A kernel element ``kernel = g`` with D(g) = 0 makes the probe run in
+    the coordinates where g replaces x_v, the first variable in which g has
+    a nonzero constant partial c, so that g = c*x_v + h with h free of x_v.
+    The relation and the images (with D(y_v) = 0) are carried through
+    phi: x_v -> (y_v - h)/c by one substitution each, and x_v starts at
+    phi(x_v); every other start is its own coordinate.  phi induces an
+    isomorphism of the quotient rings, so the steps are the same; the term
+    ceiling counts terms in the new coordinates, where a Jacobian witness
+    J(f, g, ...) is triangular.  A kernel element over another ring, with
+    D(g) not in (f), or with no such coordinate is an internal fault.
     """
     if bound < 1:
         raise ValueError("probe bound must be positive")
@@ -289,13 +287,13 @@ def probe_nilpotency(
     variables = relation.variables
     starts = [Polynomial.variable(variables, name) for name in variables]
     if kernel is not None:
-        v, g = kernel
-        phi = _kernel_transport(v, g)
-        if g.variables != variables or not relation.divides(_lift_apply(images, g)):
-            raise InternalInvariantError(f"{g!r} is not in the kernel of the derivation")
-        relation = phi(relation)
-        images = [Polynomial.zero(variables) if name == v else phi(img) for name, img in zip(variables, images)]
-        starts = [phi(start) for start in starts]
+        if kernel.variables != variables or not relation.divides(_lift_apply(images, kernel)):
+            raise InternalInvariantError(f"{kernel!r} is not in the kernel of the derivation")
+        k, image = _kernel_coordinate(kernel)
+        phi = {variables[k]: image}
+        relation = relation.substitute(phi)
+        images = [Polynomial.zero(variables) if i == k else img.substitute(phi) for i, img in enumerate(images)]
+        starts[k] = image
     pairs = _integral_images(images)
     lead, norm, tail = _integral_relation(relation)
     steps = []

@@ -13,9 +13,9 @@ and nonzero, and certified nilpotent by iteration before the verdict is
 returned.  Apart from a translation along a free coordinate, every witness
 is a nonzero constant times a Jacobian derivation J(f, g), which kills f, g
 and the other fixed coordinates by construction; one builder makes it from
-the gradients of f and g, so a rule names only g, the variable that g
-replaces as a coordinate, the free variables and the constant; the probe
-runs in those coordinates, where the witness is triangular.  The only
+the gradients of f and g, so a rule names only g, the free variables and
+the constant; the probe picks the coordinate that g replaces and runs in
+those coordinates, where the witness is triangular.  The only
 witness that Q(i) may lack, a square root of a coefficient ratio, is
 reported by one helper.  A verdict of Unknown is deliberate: the rule table
 never extrapolates beyond the results it encodes, and the open exponent
@@ -453,11 +453,11 @@ def _verdict(desc: FamilyDescriptor, status: str, citation: str, *notes: str) ->
 
 def _verdict_with_witness(
     desc: FamilyDescriptor, citation: str, images: Mapping[str, Polynomial], note: str,
-    kernel: Optional[tuple[str, Polynomial]] = None,
+    kernel: Optional[Polynomial] = None,
 ) -> Verdict:
     """Build the witness on the descriptor's presentation (variables without
     an image map to 0), check that it is nonzero and certify it nilpotent,
-    in the coordinates where the kernel element (v, g), if any, replaces v."""
+    in coordinates where the kernel element g, if any, is one of them."""
     if desc.relation is None:
         raise InternalInvariantError("witness requested for an unpresentable relation")
     presentation = RingPresentation(desc.variables, desc.relation)
@@ -481,25 +481,24 @@ def _verdict_with_witness(
 
 
 def _jacobian(
-    desc: FamilyDescriptor, citation: str, free: Names, kernel: Optional[tuple[str, Polynomial]],
+    desc: FamilyDescriptor, citation: str, free: Names, kernel: Optional[Polynomial],
     scale: GaussianRational, note: str,
 ) -> Verdict:
     """scale * J(f, g, the coordinates outside free), certified.
 
     Two free variables (a, b) and no kernel give (D(a), D(b)) = (f_b, -f_a);
     three give the cross product of grad f and grad g restricted to free,
-    for the kernel element (v, g) with g = c*v + h, c a nonzero constant and
-    h free of v.  D kills f, g and every fixed coordinate by construction;
-    the nilpotency probe, run where g replaces v and D is triangular, is the
-    only certificate.
+    for a kernel element g = c*v + h with c a nonzero constant and h free
+    of v for some variable v.  D kills f, g and every fixed coordinate by
+    construction; the nilpotency probe, run where g replaces v and D is
+    triangular, is the only certificate.
     """
     f = desc.relation
     df = [f.diff(v) for v in free]
     if kernel is None:
         images = {free[0]: df[1] * scale, free[1]: -df[0] * scale}
     else:
-        g = kernel[1]
-        scaled = g * scale
+        scaled = kernel * scale
         dg = [scaled.diff(v) for v in free]
         images = {}
         for i, v in enumerate(free):
@@ -534,7 +533,7 @@ def _two_squares(
     if cu != cv:
         return _withheld(desc, citation, note, cv / cu)
     g = Polynomial.variable(desc.variables, u) + _mono(desc.variables, I, {v: 1})
-    return _jacobian(desc, citation, (u, v, w), (v, g), (cu * GaussianRational(0, 2)).inverse(), note)
+    return _jacobian(desc, citation, (u, v, w), g, (cu * GaussianRational(0, 2)).inverse(), note)
 
 
 def _withheld(desc: FamilyDescriptor, citation: str, prefix: str, ratio: GaussianRational) -> Verdict:
@@ -616,7 +615,7 @@ def _classify_mixed_four(desc: FamilyDescriptor) -> Verdict:
             return _withheld(desc, CITE_EVEN_TWIST, "b = 2 with an even a", beta / alpha)
         g = _mono(desc.variables, 1, {x: a // 2, y: 1}) + _mono(desc.variables, -I, {z: 1})
         return _jacobian(
-            desc, CITE_EVEN_TWIST, (y, z, t), (z, g), -I, f"b = 2, c = 2 and a = {a} is even"
+            desc, CITE_EVEN_TWIST, (y, z, t), g, -I, f"b = 2, c = 2 and a = {a} is even"
         )
     if _leftover_pattern(a, b, c, d):
         return _verdict(desc, UNKNOWN, CITE_LEFTOVER, "open exceptional pattern")

@@ -292,9 +292,6 @@ def bounded_search(
     coeffs = [coeff for _, coeff in terms for _ in points]
     active = [[s for s, (exps, _, _) in enumerate(slots) if exps[i]] for i in range(n)]
 
-    # An integer window gives only real values, powered as plain ints.
-    power = gaussian_pow if gaussian else lambda z, e: (z[0] ** e, 0)
-
     def rows(i: int):
         """Level i's nonzero vectors in enumeration order, each (as a
         one-tuple, the row of a one-level block) with its nonconstant flag
@@ -308,7 +305,7 @@ def bounded_search(
             yield (
                 (vector,),
                 vector[1:] != zero[1:],
-                tuple([power(at[k], e) for k, e in level_slots]),
+                tuple([gaussian_pow(at[k], e) for k, e in level_slots]),
             )
 
     # The outermost level is visited once; an inner one is cached if small.

@@ -470,8 +470,11 @@ def gaussian_mul(x: GaussianInt, y: GaussianInt) -> GaussianInt:
 
 
 def gaussian_pow(z: GaussianInt, e: int) -> GaussianInt:
-    """The Gaussian integer z raised to the exponent e >= 0, by squaring."""
+    """The Gaussian integer z raised to the exponent e >= 0, by squaring;
+    a real z is powered as a plain int."""
     a, b = z
+    if not b:
+        return a**e, 0
     re, im = 1, 0
     while e:
         if e & 1:

@@ -27,7 +27,7 @@ from rigidity import (
 )
 import rigidity.derivation as derivation_module
 import rigidity.families as families_module
-from rigidity.gauss import GaussianRational, gq
+from rigidity.gauss import I, GaussianRational, gq
 
 from helpers import nonzero_random_poly, random_poly
 
@@ -381,11 +381,12 @@ def witness_certify_shapes(sizes):
 
 
 def test_the_probe_in_kernel_coordinates_matches_the_x_coordinate_probe(monkeypatch):
-    """Every criterion 01-03 witness that has a kernel element (v, g), with
-    the tables' coefficients and with non-unit ones, and the four
-    witness_certify shapes at sizes 2..30: the probe where g replaces v
-    reports what the probe in x-coordinates reports, and phi: x_v -> (y_v - h)/c
-    followed by its inverse y_v -> g is the identity on each generator."""
+    """Every criterion 01-03 witness that has a kernel element g, with the
+    tables' coefficients and with non-unit ones, and the four witness_certify
+    shapes at sizes 2..30: the probe where g replaces the coordinate x_v it
+    picks reports what the probe in x-coordinates reports, and
+    phi: x_v -> (y_v - h)/c followed by its inverse y_v -> g is the identity
+    on each generator."""
     seen = []
 
     def recording(derivation, bound, kernel=None):
@@ -406,26 +407,35 @@ def test_the_probe_in_kernel_coordinates_matches_the_x_coordinate_probe(monkeypa
     # and the even twist (7 exponent pairs (a, b) times 12 pairs (c, d)),
     # once per coefficient choice
     assert (table_count, len(seen) - table_count) == (2 * (7 + 49 + 84), 4 * 29)
-    for derivation, bound, (v, g), report in seen:
+    for derivation, bound, g, report in seen:
         assert report == probe_nilpotency(derivation, bound), derivation
-        phi = derivation_module._kernel_transport(v, g)
+        k, image = derivation_module._kernel_coordinate(g)
         variables = g.variables
-        inverse = {name: g if name == v else Polynomial.variable(variables, name) for name in variables}
-        assert phi(g) == Polynomial.variable(variables, v)
+        v = variables[k]
+        phi = {v: image}
+        inverse = {v: g}
+        assert g.substitute(phi) == Polynomial.variable(variables, v)
         for name in variables:
             x = Polynomial.variable(variables, name)
-            assert phi(x).substitute(inverse) == x
+            assert x.substitute(phi).substitute(inverse) == x
+
+
+def test_the_kernel_coordinate_is_the_first_qualifying_variable():
+    # Both X and Y qualify in X + i*Y; X comes first.
+    assert derivation_module._kernel_coordinate(X + I * Y) == (0, X - I * Y)
+    # In X^2*Y - i*Z only Z has a constant coefficient: phi(Z) = (Z - X^2*Y)/(-i).
+    assert derivation_module._kernel_coordinate(X**2 * Y - I * Z) == (2, I * Z - I * X**2 * Y)
 
 
 @pytest.mark.parametrize(
     "kernel",
     [
-        ("Y", X + Y**2),  # h involves Y
-        ("Y", X * Y + Z),  # the coefficient of Y is not a constant
-        ("Y", X + Z),  # the coefficient of Y is zero
-        ("W", X),  # W is not a generator
-        ("Y", Y + X),  # D(Y + X) = 2*Z is not in the ideal
-        ("Y", Polynomial.variable(("X", "Y"), "Y")),  # another ring
+        X**2,  # no coordinate with a constant coefficient
+        Polynomial.constant(XYZ, 1),  # no coordinate at all
+        Polynomial.zero(XYZ),  # nor has zero
+        X * Y - Z**2,  # every coefficient involves another variable
+        X + Y,  # D(X + Y) = 2*Z is not in the ideal
+        Polynomial.variable(("X", "Y"), "Y"),  # another ring
     ],
 )
 def test_a_bad_kernel_element_is_an_internal_fault(danielewski, kernel):
@@ -435,6 +445,6 @@ def test_a_bad_kernel_element_is_an_internal_fault(danielewski, kernel):
 
 def test_a_kernel_element_leaves_the_report_unchanged(danielewski):
     # D(X) = 0, so 3*X - 1 may replace X.
-    report = probe_nilpotency(danielewski, kernel=("X", 3 * X - 1))
+    report = probe_nilpotency(danielewski, kernel=3 * X - 1)
     assert report == probe_nilpotency(danielewski)
     assert report.steps_per_generator == (1, 3, 2)
