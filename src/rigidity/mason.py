@@ -3,15 +3,17 @@
 distinct_root_count computes N(h), the number of distinct roots in the
 algebraic closure, via the gcd formula (valid in characteristic zero).
 mason_check verifies the hypotheses of the generalized n-term inequality and
-evaluates both degree bounds.  It counts N(f1*...*fn) from the entries with
-N(A*f) = N(A) + N(f) - N(gcd(A, f)), one gcd of the running product with
-each later entry, so the full product's derivative is never formed; the
-identity is exact for every tuple, coprime or not.  Nearly every gcd these
-counts ask for is 1, and gcd_univariate certifies those modulo a prime
-before its subresultant PRS, which then runs only on pairs that share a
-factor or that the prime cannot separate.  obstruction_check
-packages the closed-form arithmetic certificates that rule out nonconstant
-parametrizations for the supported exponent patterns.
+evaluates both degree bounds.  It converts each entry once to its dense
+coefficient list over Z[i] and runs every gcd, root count and product on
+those lists, building no Polynomial after the zero-sum checks.  It counts
+N(f1*...*fn) with N(A*f) = N(A) + N(f) - N(gcd(A, f)), one gcd of the
+running product with each later entry, so the full product's derivative is
+never formed; the identity is exact for every tuple, coprime or not.  Nearly
+every gcd is 1, and poly's kernel certifies those modulo a prime before its
+subresultant PRS, which then runs only on pairs that share a factor or that
+the prime cannot separate.  obstruction_check packages the closed-form
+arithmetic certificates that rule out nonconstant parametrizations for the
+supported exponent patterns.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .poly import Polynomial, gcd_univariate
+from .poly import GaussianInt, Polynomial, _gcd_pairs, _mul_pairs, _univariate_lists
 
 # Subset enumeration is exponential in the tuple length; every use in the
 # source material has n <= 4, so a hard cap keeps the check predictable.
@@ -35,14 +37,20 @@ COPRIME_SCOPE = "pairwise coprime entries, not all constant"
 
 
 def distinct_root_count(h: Polynomial) -> int:
-    """N(h) = deg(h) - deg(gcd(h, h')) for nonzero univariate h."""
+    """N(h) = deg(h) - deg(gcd(h, h')) for nonzero univariate h, by
+    _root_count on h's dense coefficient list."""
     if h.is_zero:
         raise ValueError("the zero polynomial has no root count")
-    var, _ = h.univariate_profile()
-    if var is None:
+    _, (a,) = _univariate_lists((h,))
+    return _root_count(a)
+
+
+def _root_count(a: list[GaussianInt]) -> int:
+    """N(a) = deg(a) - deg(gcd(a, a')) for a nonzero dense list over Z[i]."""
+    if len(a) == 1:
         return 0
-    common = gcd_univariate(h, h.diff(var))
-    return h.degree_in(var) - common.degree_in(var)
+    derivative = [(e * x, e * y) for e, (x, y) in enumerate(a)][1:]
+    return len(a) - len(_gcd_pairs(a, derivative))
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,9 @@ def mason_check(fs: Sequence[Polynomial]) -> MasonReport:
     roots of gcd(A, f) are exactly the roots A and f share, so the count is
     exact without coprimality; the tuples that violate the hypotheses get
     their true N(product) too.  The product's derivative is never formed.
+    After the zero-sum checks each entry becomes, once, its dense list over
+    Z[i], which only rescales it; every gcd, root count and the running
+    product (which skips zero coefficients) then run on those lists.
     """
     fs = list(fs)
     n = len(fs)
@@ -85,6 +96,7 @@ def mason_check(fs: Sequence[Polynomial]) -> MasonReport:
         total = total + f
     if not total.is_zero:
         raise ValueError("the tuple does not sum to zero")
+    _, lists = _univariate_lists(fs)
     violation = None
     for size in range(2, n + 1):
         for idx in combinations(range(n), size):
@@ -93,29 +105,28 @@ def mason_check(fs: Sequence[Polynomial]) -> MasonReport:
                 subset_sum = subset_sum + fs[i]
             if not subset_sum.is_zero:
                 continue
-            g = fs[idx[0]]
+            g = lists[idx[0]]
             for i in idx[1:]:
-                g = gcd_univariate(g, fs[i])
-                if g.is_constant:
+                g = _gcd_pairs(g, lists[i])
+                if len(g) == 1:
                     break
-            if not g.is_constant:
+            if len(g) > 1:
                 violation = (
                     f"zero-sum subset {tuple(i + 1 for i in idx)} has "
-                    f"nonconstant gcd of degree {g.total_degree()}"
+                    f"nonconstant gcd of degree {len(g) - 1}"
                 )
                 break
         if violation:
             break
 
-    degrees = [f.total_degree() for f in fs]
-    roots_each = tuple(distinct_root_count(f) for f in fs)
-    running = fs[0]
+    roots_each = tuple(_root_count(a) for a in lists)
+    running = lists[0]
     roots_product = roots_each[0]
     for i in range(1, n):
-        roots_product += roots_each[i] - distinct_root_count(gcd_univariate(running, fs[i]))
+        roots_product += roots_each[i] - _root_count(_gcd_pairs(running, lists[i]))
         if i < n - 1:
-            running = running * fs[i]
-    max_degree = max(degrees)
+            running = _mul_pairs(running, lists[i])
+    max_degree = max(len(a) for a in lists) - 1
     bound_product = (n - 1) * (n - 2) // 2 * roots_product
     bound_sum = (n - 2) * sum(roots_each)
     return MasonReport(

@@ -443,25 +443,26 @@ def gens(*names: str) -> tuple[Polynomial, ...]:
     return tuple(Polynomial.variable(names, n) for n in names)
 
 
-def _univariate_pair(
-    p: Polynomial, q: Polynomial
-) -> tuple[Union[str, None], list[GaussianRational], list[GaussianRational]]:
-    """The variable p and q share (None when both are constant) and their
-    dense ascending coefficient lists."""
-    if p.variables != q.variables:
+def _univariate_lists(ps: Sequence[Polynomial]) -> tuple[Union[str, None], list[list[GaussianInt]]]:
+    """The variable the polynomials share (None when all are constant) and
+    each one's dense ascending coefficient list, denominators cleared."""
+    if any(p.variables != ps[0].variables for p in ps):
         raise VariableMismatchError("gcd arguments live over different variables")
-    var_p, coeffs_p = p.univariate_profile()
-    var_q, coeffs_q = q.univariate_profile()
-    if var_p is not None and var_q is not None and var_p != var_q:
-        raise NotUnivariateError(
-            f"gcd arguments use different variables: {var_p!r} vs {var_q!r}"
-        )
-    return var_p or var_q, coeffs_p, coeffs_q
+    var = None
+    lists = []
+    for p in ps:
+        v, coeffs = p.univariate_profile()
+        if var is not None and v is not None and v != var:
+            raise NotUnivariateError(f"gcd arguments use different variables: {var!r} vs {v!r}")
+        var = var or v
+        lists.append(_integral(coeffs))
+    return var, lists
 
 
-# Gaussian integers as (re, im) int pairs: the gcd kernel below works on
-# them, and so do the nilpotency probe's iterates and the search oracle's
-# leaf evaluation.
+# Gaussian integers as (re, im) int pairs: the dense univariate kernel below
+# (gcd and product, which mason_check calls on _univariate_lists's lists)
+# works on them, and so do the nilpotency probe's iterates and the search
+# oracle's leaf evaluation.
 GaussianInt = tuple[int, int]
 
 
@@ -675,33 +676,49 @@ def _coprime_mod_p(a: list[GaussianInt], b: list[GaussianInt]) -> bool:
     return True
 
 
+def _gcd_pairs(a: list[GaussianInt], b: list[GaussianInt]) -> list[GaussianInt]:
+    """A nonzero scalar multiple of the gcd of the nonzero a and b; length 1
+    means the gcd is 1."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [(1, 0)] if _coprime_mod_p(a, b) else _subresultant_prs(a, b)
+
+
+def _mul_pairs(a: list[GaussianInt], b: list[GaussianInt]) -> list[GaussianInt]:
+    """The dense product of the nonzero a and b.  Zero coefficients are
+    skipped, so a sparse factor of high degree costs only its terms."""
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y != (0, 0)]
+    for i, (x_re, x_im) in enumerate(a):
+        if x_re or x_im:
+            for j, (y_re, y_im) in terms:
+                re, im = out[i + j]
+                out[i + j] = (re + x_re * y_re - x_im * y_im, im + x_re * y_im + x_im * y_re)
+    return out
+
+
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd over Q(i) of two univariate polynomials.
 
-    The kernel clears each input's denominators and runs the subresultant
-    PRS over Z[i] on (re, im) int pairs, with Lazard's and Ducos's steps
-    after a degree gap; only the final remainder is made monic and
-    converted back to Gaussian rationals.  gcd(0, q) is the monic
+    A thin wrapper over the kernel that mason_check calls directly:
+    _univariate_lists clears each input's denominators, and _gcd_pairs runs
+    the subresultant PRS over Z[i] on (re, im) int pairs, with Lazard's and
+    Ducos's steps after a degree gap; only the final remainder is made
+    monic and converted back to Gaussian rationals.  gcd(0, q) is the monic
     normalisation of q; gcd(0, 0) is 0.  Nonzero constants behave as units,
     so any gcd involving one is 1.
 
-    Before the PRS, _coprime_mod_p certifies most coprime pairs with one
-    Euclidean sequence modulo a prime p, and the gcd is then 1; otherwise
-    the PRS runs unchanged.  The certificate is exact because the gcd,
+    Before the PRS, _gcd_pairs lets _coprime_mod_p certify most coprime
+    pairs with one Euclidean sequence modulo a prime p, and the gcd is then
+    1; otherwise the PRS runs unchanged.  The certificate is exact because the gcd,
     taken primitive in Z[i][x], has a leading coefficient dividing lc(a).
     So when lc(a) is nonzero modulo p, the gcd's image keeps its degree and
     divides both images, and a constant gcd modulo p proves a constant gcd.
     """
-    var, coeffs_p, coeffs_q = _univariate_pair(p, q)
-    if not coeffs_p and not coeffs_q:
+    var, (a, b) = _univariate_lists((p, q))
+    if not a and not b:
         return Polynomial.zero(p.variables)
-    if not coeffs_p or not coeffs_q:
-        last = _integral(coeffs_p or coeffs_q)
-    else:
-        a, b = _integral(coeffs_p), _integral(coeffs_q)
-        if len(a) < len(b):
-            a, b = b, a
-        last = [(1, 0)] if _coprime_mod_p(a, b) else _subresultant_prs(a, b)
+    last = _gcd_pairs(a, b) if a and b else a or b
     if len(last) == 1:
         return Polynomial.constant(p.variables, 1)
     i = p.variables.index(var)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import pytest
 import sympy
@@ -135,13 +137,13 @@ def test_mason_check_proper_subset_violation():
 
 def test_mason_check_gcd_fold_stops_at_a_constant(monkeypatch):
     calls = []
-    real_gcd = mason_module.gcd_univariate
+    real_gcd = mason_module._gcd_pairs
 
-    def counting_gcd(p, q):
-        calls.append((p, q))
-        return real_gcd(p, q)
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return real_gcd(a, b)
 
-    monkeypatch.setattr(mason_module, "gcd_univariate", counting_gcd)
+    monkeypatch.setattr(mason_module, "_gcd_pairs", counting_gcd)
     # A coprime triple: one gcd for the only zero-sum subset, one per entry's
     # root count, and one per later entry in the product-root fold, whose
     # gcds are constant and so cost no root count of their own.
@@ -174,6 +176,21 @@ def _shared_factor_tuple(rng):
     return entries + [last]
 
 
+def _sympy_violation(polys):
+    """The violation mason_check should report, from sympy over QQ_I: the
+    first zero-sum subset, by size and then in order, with a nonconstant gcd."""
+    for size in range(2, len(polys) + 1):
+        for idx in combinations(range(len(polys)), size):
+            if sum(polys[i] for i in idx).is_zero:
+                g = reduce(sympy.Poly.gcd, [polys[i] for i in idx])
+                if g.degree() > 0:
+                    return (
+                        f"zero-sum subset {tuple(i + 1 for i in idx)} has "
+                        f"nonconstant gcd of degree {g.degree()}"
+                    )
+    return None
+
+
 def test_product_root_count_on_tuples_with_shared_and_repeated_factors():
     rng = random.Random(2024)
     sym = sympy.Symbol("S")
@@ -189,6 +206,11 @@ def test_product_root_count_on_tuples_with_shared_and_repeated_factors():
         assert report.distinct_roots_product == distinct_root_count(product), fs
         square_free = sympy.Poly(to_sympy(product), sym, domain="QQ_I").sqf_part()
         assert report.distinct_roots_product == square_free.degree(), fs
+        # Every other report field, against sympy on the entries themselves.
+        polys = [sympy.Poly(to_sympy(f), sym, domain="QQ_I") for f in fs]
+        assert report.distinct_roots_each == tuple(p.sqf_part().degree() for p in polys), fs
+        assert report.max_degree == max(p.degree() for p in polys), fs
+        assert report.violation == _sympy_violation(polys), fs
         violations += not report.hypotheses_ok
         checked += 1
     # Tuples on both sides of the Mason-Stothers hypotheses were checked.

@@ -498,6 +498,37 @@ def test_pseudo_remainder_matches_sympy_prem():
         assert to_poly(ours) == to_poly(a).prem(to_poly(b)), (trial, a, b)
 
 
+def test_dense_product_matches_polynomial_multiplication():
+    # Dense lists, sparse lists with zero slots and length-1 factors, with
+    # real and Gaussian entries; the product skips zero slots, so it must
+    # still place every cross term.
+    rng = random.Random(3101)
+
+    def pairs(length, sparse):
+        out = []
+        for _ in range(length):
+            re, im = rng.randint(-9, 9), rng.randint(-9, 9) if rng.random() < 0.5 else 0
+            out.append((0, 0) if sparse and rng.random() < 0.6 else (re, im))
+        while out[-1] == (0, 0):
+            out[-1] = (rng.randint(-9, 9), rng.randint(-9, 9))
+        return out
+
+    def to_poly(pairs):
+        return Polynomial(("S",), {(e,): gq(re, im) for e, (re, im) in enumerate(pairs)})
+
+    zero_slots = gaussian = units = 0
+    for trial in range(300):
+        a = pairs(rng.randint(1, 12), trial % 2)
+        b = pairs(1 if trial % 5 == 0 else rng.randint(1, 12), trial % 3 == 0)
+        ours = poly_module._mul_pairs(a, b)
+        assert len(ours) == len(a) + len(b) - 1, (a, b)
+        assert to_poly(ours) == to_poly(a) * to_poly(b), (a, b)
+        zero_slots += (0, 0) in a + b
+        gaussian += any(im for _, im in a) and any(im for _, im in b)
+        units += len(b) == 1
+    assert min(zero_slots, gaussian, units) >= 50
+
+
 def test_gaussian_pow_matches_repeated_multiplication():
     for z in [(0, 0), (1, 0), (0, 1), (2, -3), (-5, 7)]:
         power = (1, 0)
