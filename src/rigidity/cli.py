@@ -55,7 +55,7 @@ class CliInputError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    commands: tuple[str, ...] = ()
+    commands: dict[str, "_ArgumentParser"]  # set by build_parser
 
     def __init__(self, *args, **kwargs) -> None:
         # A flag is spelled in full: an abbreviation such as ``--js`` would
@@ -378,7 +378,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--gaussian", action="store_true")
     p.set_defaults(handler=cmd_search)
 
-    parser.commands = tuple(sub.choices)
+    parser.commands = sub.choices
     return parser
 
 
@@ -429,13 +429,15 @@ def _error_payload(command: Optional[str], kind: str, message: str) -> dict:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
+    command = argv[0] if argv and argv[0] in parser.commands else None
     try:
-        args = parser.parse_args(argv)
+        # A named command is read by its own parser alone; any other argv
+        # gets the top-level parser's help or usage error.
+        args = parser.commands.get(command, parser).parse_args(argv[1:] if command else argv)
     except CliInputError as exc:
         if not any(arg == "--json" or arg.startswith("--json=") for arg in argv):
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        command = argv[0] if argv and argv[0] in parser.commands else None
         _emit(_error_payload(command, type(exc).__name__, str(exc)), True, sys.stdout)
         return 1
     as_json = args.json
@@ -443,16 +445,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         result = args.handler(args)
     except (CliInputError, ValueError, ArithmeticError) as exc:
-        payload = _error_payload(args.command, type(exc).__name__, str(exc))
+        payload = _error_payload(command, type(exc).__name__, str(exc))
         _emit(payload, as_json, sys.stderr if not as_json else sys.stdout)
         return 1
     except Exception as exc:  # InternalInvariantError or a fault in the program
-        payload = _error_payload(args.command, "internal_invariant", _fault_message(exc))
+        payload = _error_payload(command, "internal_invariant", _fault_message(exc))
         _emit(payload, as_json, sys.stderr if not as_json else sys.stdout)
         return 2
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "command": args.command,
+        "command": command,
         "result": result,
     }
     if as_json and not args.deterministic:

@@ -6,8 +6,9 @@ or equal a nonzero constant.  Three independent tools answer it at desk
 scale:
 
 - verify_parametrization substitutes a candidate tuple exactly;
-- parametrization_obstructed extracts an exponent pattern from the relation
-  and delegates to the closed-form certificates in `mason`;
+- parametrization_obstructed reads the relation's exponent pattern with the
+  catalog matchers (`families.recognize_family`), in distinct letters, and
+  delegates to the closed-form certificates in `mason`;
 - bounded_search enumerates all tuples with small integer (optionally
   Gaussian-integer) coefficients, as an oracle that is deliberately weaker
   than the certificates: NoneWithinBounds proves nothing.
@@ -35,6 +36,7 @@ from itertools import product
 from math import prod
 from typing import Optional, Sequence, Union
 
+from .families import FERMAT_3, FERMAT_N, MIXED_FOUR, THREE_TERM_XY, recognize_family
 from .gauss import GaussianRational, ScalarLike
 from .mason import (
     ObstructionVerdict,
@@ -123,14 +125,18 @@ def verify_parametrization(
 
 
 def parametrization_obstructed(problem: ParametrizationProblem) -> ObstructionVerdict:
-    """Extract the exponent pattern of the relation and run its certificate.
+    """Read the exponent pattern of the relation and run its certificate.
 
-    Supported shapes (every relation variable must take part):
+    Supported shapes, each letter a distinct relation variable and every
+    relation variable taking part:
       unit target:  u^a + v^b            -> minimason(a, b)
                     u^a + v^b*Q(v)       -> extendedminimason(a, b, deg Q)
                     u^a*v^b + w^c        -> twistedmason(a, b, c)
       zero target:  u^a*v^b + w^c + s^d  -> doublemason(a, b, c, d)
                     pure powers, n >= 3  -> ex1(d_1..d_n)
+    The two-variable shapes are read here from their pure terms, the others
+    by recognize_family as ThreeTermXY, MixedFour, Fermat3 and FermatN, with
+    its exponent order (MixedFour: a >= b, c <= d; Fermat3 ascends).
     """
     relation = problem.relation
     variables = relation.variables
@@ -138,46 +144,29 @@ def parametrization_obstructed(problem: ParametrizationProblem) -> ObstructionVe
         raise UnsupportedShapeError(
             "every relation variable must occur for a pattern certificate"
         )
-    # Group the terms by support.
-    pure: dict[int, list[int]] = {}
-    mixed: list[tuple[int, ...]] = []
-    for exps in relation.terms:
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) == 1:
-            pure.setdefault(support[0], []).append(exps[support[0]])
+    unit = problem.constraint == UNIT_TARGET
+    if unit and len(variables) == 2:
+        powers: tuple[list[int], list[int]] = ([], [])
+        for exps in relation.terms:
+            if (exps[0] == 0) == (exps[1] == 0):  # a constant or a mixed term
+                break
+            powers[exps[0] == 0].append(max(exps))
         else:
-            mixed.append(exps)
-    if problem.constraint == UNIT_TARGET:
-        if not mixed and len(pure) == 2:
-            (first, second) = sorted(pure, key=lambda i: (len(pure[i]), i))
-            if len(pure[first]) == 1:
-                a = pure[first][0]
-                exponents = sorted(pure[second])
-                b = exponents[0]
-                deg_q = exponents[-1] - b
-                if len(exponents) == 1:
-                    return check_mini_mason(a, b)
-                return check_extended_mini_mason(a, b, deg_q)
-        if len(mixed) == 1 and len(pure) == 1:
-            exps = mixed[0]
-            support = [i for i, e in enumerate(exps) if e]
-            (pure_var,) = pure
-            if len(support) == 2 and len(pure[pure_var]) == 1:
-                a, b = (exps[i] for i in support)
-                return check_twisted_mason(a, b, pure[pure_var][0])
-    else:
-        if len(mixed) == 1 and len(pure) == 2 and all(
-            len(es) == 1 for es in pure.values()
-        ):
-            exps = mixed[0]
-            support = [i for i, e in enumerate(exps) if e]
-            if len(support) == 2:
-                a, b = (exps[i] for i in support)
-                c, d = (pure[i][0] for i in sorted(pure))
-                return check_double_mason(a, b, c, d)
-        if not mixed and len(pure) >= 3 and all(len(es) == 1 for es in pure.values()):
-            ds = [pure[i][0] for i in sorted(pure)]
-            return check_fermat_sum(ds)
+            # u is the variable with one term, the first one on a tie.
+            u, v = sorted(powers, key=len)
+            if len(u) == 1:
+                b = min(v)
+                if len(v) == 1:
+                    return check_mini_mason(u[0], b)
+                return check_extended_mini_mason(u[0], b, max(v) - b)
+    family = recognize_family(relation)
+    if unit:
+        if family.kind == THREE_TERM_XY:
+            return check_twisted_mason(*family.exponents)
+    elif family.kind == MIXED_FOUR:
+        return check_double_mason(*family.exponents)
+    elif family.kind in (FERMAT_3, FERMAT_N):
+        return check_fermat_sum(family.exponents)
     raise UnsupportedShapeError(
         f"no supported {problem.constraint}-target pattern matches the relation"
     )

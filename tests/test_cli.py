@@ -4,6 +4,7 @@ Golden files live in tests/golden/ and were produced by the commands listed
 in GOLDEN_CASES with --json --deterministic; the comparison is byte-for-byte.
 """
 
+import argparse
 import io
 import json
 import os
@@ -622,6 +623,44 @@ def test_usage_errors_keep_the_json_contract(argv, command, needle, capsys):
     assert payload["command"] == command
     assert payload["error"]["type"] == "CliInputError"
     assert needle in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--relation", "X^2*Y^3 - Z^5"],
+        ["verify-derivation", "--relation", "X*Y - Z^2", "--image", "X=1"],
+        ["gr", "--relation", "X^2 - Y", "--vars", "X,Y", "--weights", "1,2"],
+        ["mason", "--polys", "S^2-1;-S^2;1"],
+        ["obstruct", "--pattern", "minimason", "--params", "a=2,b=3"],
+        ["param-verify", "--relation", "X^2 + Y^2", "--sub", "X=S", "--sub", "Y=i*S"],
+        ["search", "--relation", "X^2 + Y^2", "--max-deg", "1,1", "--gaussian"],
+    ],
+)
+def test_each_command_line_is_parsed_once(argv, monkeypatch, capsys):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main([*argv, "--json", "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+    assert calls == [f"rigidity {argv[0]}"]
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [(["--help"], "param-verify"), (["search", "--help"], "--max-deg")],
+)
+def test_help_exits_zero_on_stdout(argv, needle, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    captured = capsys.readouterr()
+    assert needle in captured.out and captured.err == ""
 
 
 def test_abbreviated_flags_are_refused(capsys):

@@ -22,6 +22,13 @@ from rigidity import (
     verify_parametrization,
 )
 from rigidity.gauss import gq
+from rigidity.mason import (
+    check_double_mason,
+    check_extended_mini_mason,
+    check_fermat_sum,
+    check_mini_mason,
+    check_twisted_mason,
+)
 
 from helpers import random_poly, random_scalar, reference_search
 
@@ -166,6 +173,16 @@ def test_extracts_pure_power_sum_pattern():
         (("X", "Y", "Z"), lambda X, Y, Z: X**2 + Y**3 + Z**7, "unit"),
         # both variables carry several exponents
         (("X", "Y"), lambda X, Y: X**2 + X**4 + Y**2 + Y**4, "unit"),
+        # the four-variable mixed shape has only a zero-target certificate
+        (("X", "Y", "Z", "T"), lambda X, Y, Z, T: X**2 * Y**3 + Z**2 + T**3, "unit"),
+        # the three-term mixed shape has only a unit-target certificate
+        (("X", "Y", "Z"), lambda X, Y, Z: X**2 * Y**2 + Z**3, "zero"),
+        # a pure variable that also occurs in the mixed term: doublemason speaks
+        # of (X, Y, Z, Y), never coprime, and (S^2, S^3, g*S^6) with g^3 = -2
+        # solves it
+        (("X", "Y", "Z"), lambda X, Y, Z: X**6 * Y**2 + Z**3 + Y**6, "zero"),
+        # the same overlap under the unit target
+        (("X", "Y"), lambda X, Y: Y**6 * X**7 + Y**2, "unit"),
     ],
 )
 def test_unsupported_shapes(variables, build, constraint):
@@ -174,6 +191,69 @@ def test_unsupported_shapes(variables, build, constraint):
         parametrization_obstructed(
             ParametrizationProblem(build(*vs), constraint)
         )
+
+
+SHAPES = ("minimason", "extendedminimason", "twistedmason", "doublemason", "ex1")
+
+
+def _documented_shape(rng, shape):
+    """A relation of one documented shape whose letters are a random
+    permutation of the declared variables, with nonzero Gaussian and
+    fractional coefficients; returns it with its target and the direct
+    certificate on exponents read here in the documented order."""
+    arity = {"minimason": 2, "extendedminimason": 2, "twistedmason": 3, "doublemason": 4}
+    n = arity[shape] if shape in arity else rng.randint(3, 5)
+    names = ("X", "Y", "Z", "T", "U")[:n]
+    slot = rng.sample(range(n), n)  # letter k is the variable names[slot[k]]
+    e = [rng.randint(1, 7) for _ in range(n)]
+
+    def term(*powers):
+        exps = [0] * n
+        for k, power in powers:
+            exps[slot[k]] = power
+        coefficient = random_scalar(rng)
+        while coefficient.is_zero:
+            coefficient = random_scalar(rng)
+        return Polynomial.monomial(names, tuple(exps), coefficient)
+
+    # a, b of u^a + v^b and of u^a*v^b in declared order
+    first = (e[0], e[1]) if slot[0] < slot[1] else (e[1], e[0])
+    if shape == "minimason":
+        return term((0, e[0])) + term((1, e[1])), "unit", check_mini_mason(*first)
+    if shape == "extendedminimason":
+        tail = sorted(rng.sample(range(1, 8), rng.randint(2, 3)))
+        relation = term((0, e[0]))
+        for power in tail:
+            relation = relation + term((1, power))
+        deg_q = tail[-1] - tail[0]
+        return relation, "unit", check_extended_mini_mason(e[0], tail[0], deg_q)
+    if shape == "twistedmason":
+        relation = term((0, e[0]), (1, e[1])) + term((2, e[2]))
+        return relation, "unit", check_twisted_mason(*first, e[2])
+    if shape == "doublemason":
+        relation = term((0, e[0]), (1, e[1])) + term((2, e[2])) + term((3, e[3]))
+        return relation, "zero", check_double_mason(
+            max(e[:2]), min(e[:2]), min(e[2:]), max(e[2:])
+        )
+    relation = term((0, e[0]))
+    for k in range(1, n):
+        relation = relation + term((k, e[k]))
+    # three pure powers ascend, more keep the declared order
+    ds = sorted(e) if n == 3 else [e[slot.index(i)] for i in range(n)]
+    return relation, "zero", check_fermat_sum(ds)
+
+
+def test_documented_shapes_get_their_certificates():
+    rng = random.Random(5)
+    statuses = {shape: set() for shape in SHAPES}
+    for _ in range(400):
+        shape = rng.choice(SHAPES)
+        relation, target, expected = _documented_shape(rng, shape)
+        verdict = parametrization_obstructed(ParametrizationProblem(relation, target))
+        assert (verdict.status, verdict.rule) == (expected.status, expected.rule), relation
+        assert verdict == expected, relation
+        statuses[shape].add(verdict.status)
+    assert all(len(seen) >= 2 for seen in statuses.values()), statuses
 
 
 # ---------------------------------------------------------------------------
